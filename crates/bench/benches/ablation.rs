@@ -79,7 +79,6 @@ fn bench_eigen_strategy(rows: &mut Vec<Vec<String>>) {
             threads: None,
             pivot_relief: None,
             strategy: pact::ReduceStrategy::Flat,
-            expansion_points: None,
             chol_kernel: pact::CholKernel::Auto,
         };
         let s = sample_secs(SAMPLES, || {
@@ -99,7 +98,6 @@ fn bench_sparsify(rows: &mut Vec<Vec<String>>) {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
         chol_kernel: pact::CholKernel::Auto,
     };
     let red = pact::reduce_network(&net, &opts).expect("reduce");

@@ -36,7 +36,6 @@ fn main() {
             threads: None,
             pivot_relief: None,
             strategy: pact::ReduceStrategy::Flat,
-            expansion_points: None,
             chol_kernel: pact::CholKernel::Auto,
         };
         let s = sample_secs(SAMPLES, || pact::reduce_network(&net, &opts).expect("pact"));

@@ -126,7 +126,6 @@ fn bench_reduce(rows: &mut Vec<Vec<String>>) {
             threads: None,
             pivot_relief: None,
             strategy: pact::ReduceStrategy::Flat,
-            expansion_points: None,
             chol_kernel: pact::CholKernel::Auto,
         };
         let s = sample_secs(SAMPLES, || {

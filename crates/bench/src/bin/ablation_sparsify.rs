@@ -28,7 +28,6 @@ fn main() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
         chol_kernel: pact::CholKernel::Auto,
     };
     let red = pact::reduce_network(&net, &opts).expect("reduce");

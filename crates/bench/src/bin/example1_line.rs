@@ -66,7 +66,6 @@ fn main() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
         chol_kernel: pact::CholKernel::Auto,
     };
     let (red, elapsed) = timed(|| pact::reduce_network(net, &opts).expect("reduce"));

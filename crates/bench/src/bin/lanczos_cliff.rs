@@ -49,7 +49,6 @@ fn eigen_seconds(net: &RcNetwork) -> (f64, u64) {
         threads: Some(1),
         pivot_relief: None,
         strategy: ReduceStrategy::Flat,
-        expansion_points: None,
         chol_kernel: pact::CholKernel::Auto,
     };
     let red = pact::reduce_network(net, &opts).expect("reduce");

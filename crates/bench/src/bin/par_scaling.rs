@@ -76,7 +76,6 @@ fn main() {
             threads: Some(t),
             pivot_relief: None,
             strategy: pact::ReduceStrategy::Flat,
-            expansion_points: None,
             chol_kernel: pact::CholKernel::Auto,
         };
         let (red, reduce_s) = timed(|| pact::reduce_network(&net, &opts).expect("reduce"));

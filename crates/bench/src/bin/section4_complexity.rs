@@ -37,7 +37,6 @@ fn main() {
             threads: None,
             pivot_relief: None,
             strategy: pact::ReduceStrategy::Flat,
-            expansion_points: None,
             chol_kernel: pact::CholKernel::Auto,
         };
         let (pact_red, t_pact) = timed(|| pact::reduce_network(&net, &opts).expect("pact"));
@@ -46,7 +45,6 @@ fn main() {
         // Same reduction with the scalar up-looking Cholesky kernel:
         // isolates the supernodal speedup on the factorization hot path.
         let scalar_opts = ReduceOptions {
-            expansion_points: None,
             chol_kernel: pact::CholKernel::Scalar,
             ..opts.clone()
         };

@@ -31,7 +31,6 @@ fn options() -> ReduceOptions {
         threads: Some(1),
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
         chol_kernel: pact::CholKernel::Auto,
     }
 }

@@ -97,12 +97,10 @@ fn main() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
         chol_kernel: CholKernel::Supernodal,
     };
     let (sup, t_sup) = timed(|| pact::reduce_network(&net, &opts).expect("reduce"));
     let scalar_opts = ReduceOptions {
-        expansion_points: None,
         chol_kernel: CholKernel::Scalar,
         ..opts
     };

@@ -33,14 +33,12 @@ fn main() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
         chol_kernel: pact::CholKernel::Auto,
     };
     let (red, elapsed) = timed(|| pact::reduce_network(&net, &opts).expect("reduce"));
     // A/B the factorization hot path: same reduction with the scalar
     // up-looking Cholesky kernel instead of the supernodal panels.
     let scalar_opts = ReduceOptions {
-        expansion_points: None,
         chol_kernel: pact::CholKernel::Scalar,
         ..opts.clone()
     };

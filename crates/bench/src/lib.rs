@@ -128,7 +128,6 @@ pub fn reduce_deck(
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
         chol_kernel: pact::CholKernel::Auto,
     };
     let (red, elapsed) =
@@ -155,7 +154,6 @@ pub fn reduce_deck_laso(
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
         chol_kernel: pact::CholKernel::Auto,
     };
     let (red, elapsed) =

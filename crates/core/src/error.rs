@@ -49,19 +49,6 @@ pub enum PactError {
         /// The non-finite pivot encountered.
         pivot: f64,
     },
-    /// A user-supplied multipoint expansion point landed on (or within
-    /// relief tolerance of) a pole of the pencil `D + sE`: the shifted
-    /// factorization is numerically singular at that point. Attributed
-    /// to the internal node owning the vanishing pivot, like the
-    /// factorization errors above.
-    ExpansionPointAtPole {
-        /// The offending expansion point in hertz, as supplied.
-        point_hz: f64,
-        /// Name of the internal node most associated with the pole.
-        node: String,
-        /// Smallest pivot modulus divided by the largest.
-        pivot: f64,
-    },
     /// The Lanczos eigensolver did not converge near the cutoff.
     Lanczos(LanczosError),
     /// The dense eigensolver failed.
@@ -92,7 +79,6 @@ impl PactError {
             PactError::Cutoff(_) => "cutoff",
             PactError::SingularInternalConductance { .. } => "singular_internal_conductance",
             PactError::NonFiniteInternalConductance { .. } => "non_finite_internal_conductance",
-            PactError::ExpansionPointAtPole { .. } => "expansion_point_at_pole",
             PactError::Lanczos(_) => "lanczos",
             PactError::Eigen(_) => "eigen",
             PactError::Io { .. } => "io",
@@ -133,22 +119,6 @@ impl PactError {
             ReduceError::Factor(fe) => PactError::Internal {
                 message: format!("conductance block factorization failed: {fe}"),
             },
-            ReduceError::ExpansionPointAtPole {
-                point_hz,
-                index,
-                pivot,
-            } => {
-                let node = network
-                    .node_names
-                    .get(network.num_ports + index)
-                    .cloned()
-                    .unwrap_or_else(|| format!("internal#{index}"));
-                PactError::ExpansionPointAtPole {
-                    point_hz,
-                    node,
-                    pivot,
-                }
-            }
             ReduceError::Lanczos(le) => PactError::Lanczos(le),
             ReduceError::Eigen(ee) => PactError::Eigen(ee),
             ReduceError::Network(ne) => PactError::Network(ne),
@@ -182,17 +152,6 @@ impl std::fmt::Display for PactError {
                 "internal node `{node}` produced a non-finite pivot ({pivot}) \
                  in the conductance block — the deck carries a NaN or \
                  infinite value"
-            ),
-            PactError::ExpansionPointAtPole {
-                point_hz,
-                node,
-                pivot,
-            } => write!(
-                f,
-                "expansion point {point_hz:.6e} Hz lies on a pole of the pencil \
-                 near internal node `{node}` (relative pivot {pivot:.3e}); \
-                 choose a point away from the pole, e.g. a positive \
-                 (imaginary-axis) frequency"
             ),
             PactError::Lanczos(e) => write!(f, "pole analysis failed: {e}"),
             PactError::Eigen(e) => write!(f, "dense eigendecomposition failed: {e}"),

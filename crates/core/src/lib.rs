@@ -62,7 +62,6 @@ pub mod json;
 pub mod lru;
 mod matrix_free;
 mod model;
-pub mod multipoint;
 mod partition;
 mod reduce;
 mod sanitize;

@@ -23,8 +23,8 @@ use std::time::Instant;
 use pact_lanczos::LanczosStats;
 use pact_netlist::{RcNetwork, Stamped};
 use pact_sparse::{
-    CholKernel, CscMat, CsrMat, FactorDiagnostics, FactorError, Ordering, ParCtx, PivotPolicy,
-    SparseCholesky, SymbolicCholesky, SymbolicLu,
+    CholKernel, CsrMat, FactorDiagnostics, FactorError, Ordering, ParCtx, PivotPolicy,
+    SparseCholesky, SymbolicCholesky,
 };
 
 use crate::backend;
@@ -168,13 +168,6 @@ impl ScratchPool {
 pub struct ReductionSession {
     opts: ReduceOptions,
     cache: SymbolicCache,
-    /// Symbolic LU analyses of shifted-pencil union patterns, keyed by
-    /// [`pact_sparse::CscPencil::pattern_key`] and verified exactly via
-    /// [`SymbolicLu::matches`] before a hit is trusted — the multipoint
-    /// strategy's analogue of the Cholesky cache above. One analysis
-    /// serves every expansion point of a pencil (real at s = 0, complex
-    /// on the imaginary axis) and every warm deck of the same topology.
-    lu_cache: LruCache<u64, Arc<SymbolicLu>>,
     pub(crate) scratch: ScratchPool,
 }
 
@@ -191,7 +184,6 @@ const _: () = {
     assert_send::<ReductionSession>();
     assert_send_sync::<SymbolicCache>();
     assert_send_sync::<SymbolicCholesky>();
-    assert_send_sync::<SymbolicLu>();
 };
 
 impl ReductionSession {
@@ -200,7 +192,6 @@ impl ReductionSession {
         ReductionSession {
             opts,
             cache: SymbolicCache::default(),
-            lu_cache: LruCache::new(CACHE_CAP),
             scratch: ScratchPool::default(),
         }
     }
@@ -216,7 +207,6 @@ impl ReductionSession {
         ReductionSession {
             opts,
             cache: SymbolicCache::with_capacity(cap),
-            lu_cache: LruCache::new(cap),
             scratch: ScratchPool::default(),
         }
     }
@@ -275,9 +265,6 @@ impl ReductionSession {
                 max_block,
                 max_depth,
             } => crate::hier::reduce_network_hier(self, network, max_block, max_depth),
-            ReduceStrategy::Multipoint { num_points } => {
-                crate::multipoint::reduce_network_multipoint(self, network, num_points)
-            }
         }
     }
 
@@ -433,28 +420,6 @@ impl ReductionSession {
             modelled,
             sol.lanczos,
         ))
-    }
-
-    /// Number of shifted-pencil symbolic LU analyses currently cached
-    /// (the multipoint strategy's analogue of [`Self::cached_patterns`]).
-    pub fn cached_lu_patterns(&self) -> usize {
-        self.lu_cache.len()
-    }
-
-    /// Looks up a cached symbolic LU analysis for the union pattern of a
-    /// shifted pencil, verifying the exact pattern against `a0` (the
-    /// pencil evaluated on its union structure) before trusting the
-    /// fingerprint hit — same collision discipline as the Cholesky cache.
-    pub(crate) fn lu_lookup(&mut self, key: u64, a0: &CscMat<f64>) -> Option<Arc<SymbolicLu>> {
-        self.lu_cache
-            .get_if(&key, |sym| sym.matches(a0))
-            .map(Arc::clone)
-    }
-
-    /// Caches a symbolic LU analysis under a pencil's pattern key
-    /// (same-key entries replace: newest wins).
-    pub(crate) fn lu_insert(&mut self, key: u64, sym: Arc<SymbolicLu>) {
-        self.lu_cache.insert(key, sym);
     }
 
     /// Factors `D`, reusing a cached symbolic analysis when the sparsity

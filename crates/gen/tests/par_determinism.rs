@@ -80,7 +80,6 @@ fn reduce_with_threads(net: &RcNetwork, eigen_backend: &EigenSelect, threads: us
         threads: Some(threads),
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
         chol_kernel: pact::CholKernel::Auto,
     };
     pact::reduce_network(net, &opts).unwrap()

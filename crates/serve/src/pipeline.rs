@@ -8,8 +8,8 @@
 //! construction: both front ends call [`prepare_deck`],
 //! [`reduce_prepared`] and [`render_reduced`] in that order, and neither
 //! owns any numeric decision of its own. Option resolution (including
-//! the historical `--dense` alias and the pivot-relief default) lives
-//! here for the same reason.
+//! the `--hier` alias and the pivot-relief default) lives here for the
+//! same reason.
 
 use pact::{
     collapse_chains, sanitize_network, ChainCollapseSpec, CholKernel, ComponentReduction,
@@ -82,8 +82,6 @@ pub enum StrategyArg {
     Flat,
     /// Nested-dissection divide-and-conquer.
     Hier,
-    /// Multipoint moment expansion with congruence projection.
-    Multipoint,
 }
 
 impl StrategyArg {
@@ -93,10 +91,7 @@ impl StrategyArg {
         match s {
             "flat" => Ok(StrategyArg::Flat),
             "hier" => Ok(StrategyArg::Hier),
-            "multipoint" => Ok(StrategyArg::Multipoint),
-            other => Err(format!(
-                "strategy expects flat, hier, or multipoint (got `{other}`)"
-            )),
+            other => Err(format!("strategy expects flat or hier (got `{other}`)")),
         }
     }
 
@@ -105,7 +100,6 @@ impl StrategyArg {
         match self {
             StrategyArg::Flat => "flat",
             StrategyArg::Hier => "hier",
-            StrategyArg::Multipoint => "multipoint",
         }
     }
 }
@@ -127,8 +121,6 @@ pub struct DeckOptions {
     pub threads: Option<usize>,
     /// Explicit eigen backend choice, if any.
     pub eigen: Option<EigenArg>,
-    /// The historical `--dense` alias for the low-rank path.
-    pub dense: bool,
     /// Reduce each connected component separately.
     pub components: bool,
     /// Fail on quasi-singular pivots instead of perturbing them.
@@ -139,15 +131,10 @@ pub struct DeckOptions {
     pub block_size: usize,
     /// `--max-depth`: dissection recursion budget.
     pub max_depth: usize,
-    /// Numeric Cholesky kernel selection.
-    pub chol_kernel: CholKernel,
     /// Explicit execution-strategy choice, if any (`--strategy` /
     /// `"strategy"`). `None` keeps the historical resolution: `hier`
     /// when the `--hier` alias is set, flat otherwise.
     pub strategy: Option<StrategyArg>,
-    /// Explicit multipoint expansion points in hertz (`--points` /
-    /// `"points"`), validated to be finite and nonzero at the edges.
-    pub points: Option<Vec<f64>>,
     /// Reduce each maximal ported RC subnetwork independently
     /// (`--extract` / `"extract"`): the embedded-parasitics flow, where
     /// every RC island with its own boundary ports gets its own reduced
@@ -172,15 +159,12 @@ impl Default for DeckOptions {
             extra_ports: Vec::new(),
             threads: None,
             eigen: None,
-            dense: false,
             components: false,
             strict_pivots: false,
             hier: false,
             block_size: DEFAULT_BLOCK_SIZE,
             max_depth: DEFAULT_MAX_DEPTH,
-            chol_kernel: CholKernel::Auto,
             strategy: None,
-            points: None,
             extract: false,
             collapse_chains: false,
             chain_tol: DEFAULT_CHAIN_TOL,
@@ -189,16 +173,14 @@ impl Default for DeckOptions {
 }
 
 impl DeckOptions {
-    /// Resolves the eigen choice: an explicit `eigen` wins, bare `dense`
-    /// keeps its historical low-rank meaning, and the default is
-    /// shift-invert Lanczos.
+    /// Resolves the eigen choice: an explicit `eigen` wins, and the
+    /// default is shift-invert Lanczos.
     pub fn eigen_select(&self) -> EigenSelect {
         match self.eigen {
             Some(EigenArg::Auto) => EigenSelect::Auto,
             Some(EigenArg::Dense) => EigenSelect::Dense,
             Some(EigenArg::Lanczos) => EigenSelect::Lanczos(LanczosConfig::default()),
             Some(EigenArg::LowRank) => EigenSelect::LowRank,
-            None if self.dense => EigenSelect::LowRank,
             None => EigenSelect::Lanczos(LanczosConfig::default()),
         }
     }
@@ -223,8 +205,7 @@ impl DeckOptions {
                 Some(PIVOT_RELIEF)
             },
             strategy: self.reduce_strategy(),
-            expansion_points: self.points.clone(),
-            chol_kernel: self.chol_kernel,
+            chol_kernel: CholKernel::Auto,
         })
     }
 
@@ -233,9 +214,6 @@ impl DeckOptions {
     /// default is flat.
     pub fn reduce_strategy(&self) -> ReduceStrategy {
         match self.strategy {
-            Some(StrategyArg::Multipoint) => ReduceStrategy::Multipoint {
-                num_points: pact::multipoint::DEFAULT_NUM_POINTS,
-            },
             Some(StrategyArg::Hier) => ReduceStrategy::Hierarchical {
                 max_block: self.block_size,
                 max_depth: self.max_depth,
@@ -273,36 +251,16 @@ impl DeckOptions {
     /// which networks go through the session without changing its
     /// numeric options.
     pub fn session_key(&self) -> String {
-        let eigen = match self.eigen {
-            Some(e) => e.name(),
-            None if self.dense => "lowrank",
-            None => "lanczos",
-        };
+        let eigen = self.eigen.map_or("lanczos", EigenArg::name);
         let strategy = match self.reduce_strategy() {
             ReduceStrategy::Flat => "flat".to_owned(),
             ReduceStrategy::Hierarchical {
                 max_block,
                 max_depth,
             } => format!("hier:{max_block}:{max_depth}"),
-            ReduceStrategy::Multipoint { num_points } => {
-                let points = match &self.points {
-                    Some(p) => p
-                        .iter()
-                        .map(|f| format!("{f:e}"))
-                        .collect::<Vec<_>>()
-                        .join(","),
-                    None => "auto".to_owned(),
-                };
-                format!("multipoint:{num_points}:{points}")
-            }
-        };
-        let kernel = match self.chol_kernel {
-            CholKernel::Auto => "auto",
-            CholKernel::Supernodal => "supernodal",
-            CholKernel::Scalar => "scalar",
         };
         format!(
-            "fmax={};tol={};eigen={eigen};threads={:?};strict={};strategy={strategy};kernel={kernel}",
+            "fmax={};tol={};eigen={eigen};threads={:?};strict={};strategy={strategy}",
             self.f_max, self.tolerance, self.threads, self.strict_pivots
         )
     }
@@ -686,7 +644,7 @@ mod tests {
 
     #[test]
     fn strategy_arg_round_trips_and_rejects_unknowns() {
-        for s in ["flat", "hier", "multipoint"] {
+        for s in ["flat", "hier"] {
             assert_eq!(StrategyArg::parse(s).unwrap().name(), s);
         }
         let err = StrategyArg::parse("quadtree").unwrap_err();
@@ -701,32 +659,16 @@ mod tests {
             ..DeckOptions::default()
         };
         assert!(matches!(o.reduce_strategy(), ReduceStrategy::Flat));
-        let m = DeckOptions {
-            strategy: Some(StrategyArg::Multipoint),
-            points: Some(vec![5e8, -2e9]),
-            ..DeckOptions::default()
-        };
-        assert!(matches!(
-            m.reduce_strategy(),
-            ReduceStrategy::Multipoint { .. }
-        ));
-        let opts = m.reduce_options().unwrap();
-        assert_eq!(opts.expansion_points.as_deref(), Some(&[5e8, -2e9][..]));
     }
 
     #[test]
-    fn session_key_tracks_strategy_and_points() {
+    fn session_key_tracks_strategy() {
         let a = DeckOptions::default();
-        let m = DeckOptions {
-            strategy: Some(StrategyArg::Multipoint),
+        let explicit_flat = DeckOptions {
+            strategy: Some(StrategyArg::Flat),
             ..DeckOptions::default()
         };
-        assert_ne!(a.session_key(), m.session_key());
-        let mp = DeckOptions {
-            points: Some(vec![1e9]),
-            ..m.clone()
-        };
-        assert_ne!(m.session_key(), mp.session_key());
+        assert_eq!(a.session_key(), explicit_flat.session_key());
         let hier_alias = DeckOptions {
             hier: true,
             ..DeckOptions::default()
@@ -743,10 +685,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_alias_and_eigen_override_resolve_like_the_cli() {
+    fn eigen_option_resolves_like_the_cli() {
         let mut o = DeckOptions::default();
         assert!(matches!(o.eigen_select(), EigenSelect::Lanczos(_)));
-        o.dense = true;
+        o.eigen = Some(EigenArg::LowRank);
         assert!(matches!(o.eigen_select(), EigenSelect::LowRank));
         o.eigen = Some(EigenArg::Dense);
         assert!(matches!(o.eigen_select(), EigenSelect::Dense));

@@ -12,8 +12,8 @@
 //! - **Scalar**: Davis's up-looking LDL — a symbolic pass builds the
 //!   elimination tree and column counts, then a numeric pass computes one
 //!   row of `L` at a time with a sparse triangular solve over the row's
-//!   elimination-tree reach. Retained as the A/B reference behind
-//!   [`CholKernel::Scalar`] / `PACT_CHOL_KERNEL=scalar`.
+//!   elimination-tree reach. Retained as the in-code A/B reference
+//!   behind [`CholKernel::Scalar`].
 //!
 //! Neither kernel requires dynamic fill-in reallocation, and both share
 //! the pivot policies and typed pivot errors below.
@@ -29,10 +29,7 @@ use crate::supernodal::{build_plan, refactor_numeric, SupernodalFactor, Supernod
 /// on it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CholKernel {
-    /// Resolve at analysis time: the `PACT_CHOL_KERNEL` environment
-    /// variable (`"scalar"`, case-insensitive) selects the scalar
-    /// reference kernel, anything else the supernodal default. This is
-    /// the A/B escape hatch for benchmarking the blocked path.
+    /// The default: resolves to [`CholKernel::Supernodal`].
     #[default]
     Auto,
     /// Blocked supernodal panels (the default resolution of `Auto`).
@@ -42,13 +39,10 @@ pub enum CholKernel {
 }
 
 impl CholKernel {
-    /// Resolves [`CholKernel::Auto`] against the environment.
+    /// Resolves [`CholKernel::Auto`] to the concrete kernel it selects.
     pub fn resolved(self) -> CholKernel {
         match self {
-            CholKernel::Auto => match std::env::var("PACT_CHOL_KERNEL") {
-                Ok(v) if v.eq_ignore_ascii_case("scalar") => CholKernel::Scalar,
-                _ => CholKernel::Supernodal,
-            },
+            CholKernel::Auto => CholKernel::Supernodal,
             k => k,
         }
     }
@@ -782,9 +776,7 @@ impl SparseCholesky {
 
     /// [`SparseCholesky::factor_analyzed`] with an explicit numeric
     /// kernel — the in-process A/B switch between the supernodal and
-    /// scalar paths (tests and benches use this instead of the
-    /// `PACT_CHOL_KERNEL` environment variable to avoid cross-thread
-    /// races on the process environment).
+    /// scalar paths that tests and benches use.
     ///
     /// # Errors
     ///

@@ -13,25 +13,6 @@
 use crate::complex::Complex64;
 use crate::splu::CscMat;
 
-/// Word-at-a-time FNV-1a over the pencil's union structure, mirroring
-/// `CsrMat::pattern_key` (dimension and array lengths folded in first).
-fn union_fingerprint(n: usize, indptr: &[usize], indices: &[usize]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let eat = |h: u64, w: u64| (h ^ w).wrapping_mul(PRIME);
-    h = eat(h, n as u64);
-    h = eat(h, indptr.len() as u64);
-    h = eat(h, indices.len() as u64);
-    for &w in indptr {
-        h = eat(h, w as u64);
-    }
-    for &w in indices {
-        h = eat(h, w as u64);
-    }
-    h
-}
-
 /// A sparse pencil `P(ω) = G + jωC` with a fixed union sparsity
 /// structure, evaluable at any frequency without re-sorting or
 /// re-merging triplets.
@@ -127,15 +108,6 @@ impl CscPencil {
         self.indices.len()
     }
 
-    /// O(nnz) FNV-1a fingerprint of the union sparsity structure
-    /// (values excluded), compatible with the verification discipline of
-    /// the symbolic-factorization caches: equal structures always hash
-    /// equal, and a hit is confirmed exactly via
-    /// [`crate::SymbolicLu::matches`] before it is trusted.
-    pub fn pattern_key(&self) -> u64 {
-        union_fingerprint(self.n, &self.indptr, &self.indices)
-    }
-
     /// Evaluates the pencil at a *real* shift: `G + σC` as an `f64`
     /// matrix on the union pattern (explicit zeros where only the other
     /// side has an entry, so the structure — and therefore a captured
@@ -226,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_real_shares_structure_and_key_with_complex_eval() {
+    fn eval_real_shares_structure_with_complex_eval() {
         let gtrips = vec![(0, 0, 2.0), (1, 1, 3.0), (0, 1, -1.0), (1, 0, -1.0)];
         let ctrips = vec![(1, 1, 1e-12), (2, 2, 4e-12)];
         let p = CscPencil::from_triplets(3, &gtrips, &ctrips);
@@ -242,11 +214,6 @@ mod tests {
         assert_eq!(get(&a, 2, 2), 0.0, "C-only entry is an explicit zero");
         let shifted = p.eval_real(-2.0);
         assert_eq!(get(&shifted, 1, 1), 3.0 - 2.0 * 1e-12);
-        // The fingerprint depends on structure only.
-        let q = CscPencil::from_triplets(3, &gtrips, &[(1, 1, 7e-12), (2, 2, 1e-15)]);
-        assert_eq!(p.pattern_key(), q.pattern_key());
-        let r = CscPencil::from_triplets(3, &gtrips, &[(2, 1, 1e-12)]);
-        assert_ne!(p.pattern_key(), r.pattern_key());
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! ```text
 //! rcfit INPUT.sp [INPUT2.sp ...] [-o OUTPUT.sp] [--fmax HZ] [--tol FRACTION]
 //!       [--sparsify TOL] [--port NODE]... [--threads N]
-//!       [--eigen auto|dense|lanczos|lowrank] [--dense] [--stats]
+//!       [--eigen auto|dense|lanczos|lowrank] [--stats]
 //!       [--trace] [--log-json PATH] [--strict-pivots]
 //!       [--hier] [--block-size N] [--max-depth N]
-//!       [--strategy flat|hier|multipoint] [--points HZ,HZ,...]
+//!       [--strategy flat|hier]
 //! ```
 //!
 //! Several decks may be given at once; they are reduced through one
@@ -29,7 +29,7 @@
 
 use std::process::ExitCode;
 
-use pact::{CholKernel, PactError, ReductionSession};
+use pact::{PactError, ReductionSession};
 use pact_netlist::parse_value;
 use pact_serve::{
     prepare_deck, reduce_prepared, render_reduced, DeckOptions, EigenArg, ReducedDeck, StrategyArg,
@@ -46,7 +46,6 @@ struct Args {
     extra_ports: Vec<String>,
     threads: Option<usize>,
     eigen: Option<EigenArg>,
-    dense: bool,
     stats: bool,
     components: bool,
     verify: bool,
@@ -56,9 +55,7 @@ struct Args {
     hier: bool,
     block_size: usize,
     max_depth: usize,
-    chol_kernel: CholKernel,
     strategy: Option<StrategyArg>,
-    points: Option<Vec<f64>>,
     extract: bool,
     collapse_chains: bool,
     chain_tol: Option<f64>,
@@ -67,31 +64,22 @@ struct Args {
 fn usage() -> &'static str {
     "usage: rcfit INPUT.sp [INPUT2.sp ...] [-o OUTPUT.sp] [--fmax HZ] [--tol FRAC] \
      [--sparsify TOL] [--port NODE]... [--threads N] \
-     [--eigen auto|dense|lanczos|lowrank] [--dense] [--stats] [--components] \
+     [--eigen auto|dense|lanczos|lowrank] [--stats] [--components] \
      [--verify] [--trace] [--log-json PATH] [--strict-pivots] \
-     [--hier] [--block-size N] [--max-depth N] \
-     [--strategy flat|hier|multipoint] [--points HZ,HZ,...] \
-     [--chol-kernel auto|supernodal|scalar] \
+     [--hier] [--block-size N] [--max-depth N] [--strategy flat|hier] \
      [--extract] [--collapse-chains] [--chain-tol TOL]\n\
      defaults: --fmax 1g --tol 0.05 --sparsify 1e-9 --threads <all cores>\n\
      HZ accepts SPICE suffixes (500meg, 3g, ...); the reduced model is\n\
      bit-identical for every --threads value.\n\
-     --eigen picks the pole-analysis backend (default lanczos; --dense is an\n\
-     alias for --eigen lowrank); several decks reduce through one session so\n\
-     same-topology decks reuse the symbolic analysis (-o/--log-json then need\n\
-     a single deck).\n\
+     --eigen picks the pole-analysis backend (default lanczos); several decks\n\
+     reduce through one session so same-topology decks reuse the symbolic\n\
+     analysis (-o/--log-json then need a single deck).\n\
      --trace prints per-phase timings/counters; --log-json writes them as JSON;\n\
      --strict-pivots fails on quasi-singular pivots instead of perturbing them;\n\
      --hier reduces via nested-dissection blocks of at most --block-size nodes\n\
      (default 2000) with --max-depth recursion levels (default 16);\n\
      --strategy picks the reduction algorithm (flat = one-shot PACT, hier =\n\
-     nested dissection, multipoint = multipoint moment expansion with\n\
-     passivity-preserving congruence); --points overrides multipoint's\n\
-     auto-selected expansion frequencies (comma-separated, SPICE suffixes\n\
-     accepted; positive = imaginary-axis s=j2\u{3c0}f, negative = negative real\n\
-     axis s=-2\u{3c0}|f|);\n\
-     --chol-kernel picks the numeric Cholesky kernel (default auto = the\n\
-     supernodal blocked kernel; scalar is the up-looking reference kernel);\n\
+     nested dissection);\n\
      --extract reduces each maximal ported RC subnetwork independently (the\n\
      embedded-parasitics flow for mixed decks); --collapse-chains runs the\n\
      degree-2 series-chain collapse pre-pass before reduction, re-segmenting\n\
@@ -108,7 +96,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         extra_ports: Vec::new(),
         threads: None,
         eigen: None,
-        dense: false,
         stats: false,
         components: false,
         verify: false,
@@ -118,9 +105,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         hier: false,
         block_size: DEFAULT_BLOCK_SIZE,
         max_depth: DEFAULT_MAX_DEPTH,
-        chol_kernel: CholKernel::Auto,
         strategy: None,
-        points: None,
         extract: false,
         collapse_chains: false,
         chain_tol: None,
@@ -158,7 +143,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.threads = Some(n);
             }
             "--eigen" => args.eigen = Some(EigenArg::parse(&next(a)?)?),
-            "--dense" => args.dense = true,
             "--stats" => args.stats = true,
             "--components" => args.components = true,
             "--verify" => args.verify = true,
@@ -181,44 +165,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .map_err(|_| "--max-depth needs an integer".to_owned())?;
             }
             "--strategy" => args.strategy = Some(StrategyArg::parse(&next(a)?)?),
-            "--points" => {
-                let list = next(a)?;
-                let mut points = Vec::new();
-                for part in list.split(',') {
-                    let part = part.trim();
-                    if part.is_empty() {
-                        return Err("--points has an empty entry".to_owned());
-                    }
-                    // parse_value has no sign handling, so peel a
-                    // leading `-` (negative = negative-real-axis point).
-                    let (mag, neg) = match part.strip_prefix('-') {
-                        Some(rest) => (rest, true),
-                        None => (part, false),
-                    };
-                    let f = parse_value(mag).map_err(|e| format!("--points: {e}"))?;
-                    let f = if neg { -f } else { f };
-                    if !f.is_finite() || f == 0.0 {
-                        return Err(
-                            "--points entries must be finite and nonzero (the s = 0 moment is always matched)"
-                                .to_owned(),
-                        );
-                    }
-                    points.push(f);
-                }
-                args.points = Some(points);
-            }
-            "--chol-kernel" => {
-                args.chol_kernel = match next(a)?.as_str() {
-                    "auto" => CholKernel::Auto,
-                    "supernodal" => CholKernel::Supernodal,
-                    "scalar" => CholKernel::Scalar,
-                    other => {
-                        return Err(format!(
-                            "--chol-kernel expects auto, supernodal, or scalar (got `{other}`)"
-                        ))
-                    }
-                };
-            }
             "--extract" => args.extract = true,
             "--collapse-chains" => args.collapse_chains = true,
             "--chain-tol" => {
@@ -240,9 +186,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if args.inputs.is_empty() {
         return Err(usage().to_owned());
     }
-    if args.points.is_some() && args.strategy != Some(StrategyArg::Multipoint) {
-        return Err("--points requires --strategy multipoint".to_owned());
-    }
     if args.chain_tol.is_some() && !args.collapse_chains {
         return Err("--chain-tol requires --collapse-chains".to_owned());
     }
@@ -258,7 +201,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 /// The CLI flags as shared-pipeline options. Resolution of defaults
-/// (the `--dense` alias, pivot relief, ordering, dense threshold) lives
+/// (the `--hier` alias, pivot relief, ordering, dense threshold) lives
 /// in [`DeckOptions`], shared verbatim with the `rcfitd` daemon so both
 /// front ends produce bit-identical output.
 fn deck_options(args: &Args) -> DeckOptions {
@@ -269,15 +212,12 @@ fn deck_options(args: &Args) -> DeckOptions {
         extra_ports: args.extra_ports.clone(),
         threads: args.threads,
         eigen: args.eigen,
-        dense: args.dense,
         components: args.components,
         strict_pivots: args.strict_pivots,
         hier: args.hier,
         block_size: args.block_size,
         max_depth: args.max_depth,
-        chol_kernel: args.chol_kernel,
         strategy: args.strategy,
-        points: args.points.clone(),
         extract: args.extract,
         collapse_chains: args.collapse_chains,
         chain_tol: args.chain_tol.unwrap_or(DEFAULT_CHAIN_TOL),
@@ -478,7 +418,6 @@ mod tests {
             "nodeA",
             "--port",
             "nodeB",
-            "--dense",
             "--stats",
             "--components",
             "--verify",
@@ -494,7 +433,7 @@ mod tests {
         assert_eq!(a.tolerance, 0.1);
         assert_eq!(a.sparsify, 1e-6);
         assert_eq!(a.extra_ports, vec!["nodeA", "nodeB"]);
-        assert!(a.dense && a.stats && a.components && a.verify);
+        assert!(a.stats && a.components && a.verify);
         assert!(a.trace && a.strict_pivots);
         assert_eq!(a.log_json.as_deref(), Some("t.json"));
     }
@@ -504,7 +443,7 @@ mod tests {
         let a = parse_args(&argv(&["deck.sp"])).unwrap();
         assert_eq!(a.f_max, 1e9);
         assert_eq!(a.tolerance, 0.05);
-        assert!(!a.dense);
+        assert!(matches!(eigen_select(&a), EigenSelect::Lanczos(_)));
         assert!(a.output.is_none());
         assert!(!a.trace && !a.strict_pivots);
         assert!(a.log_json.is_none());
@@ -520,6 +459,20 @@ mod tests {
     fn unknown_flag_is_error() {
         let e = parse_args(&argv(&["deck.sp", "--frobnicate"])).unwrap_err();
         assert!(e.contains("unknown argument"));
+        // Removed flags are rejected, not silently ignored.
+        for removed in [
+            &["--points", "1g"][..],
+            &["--chol-kernel", "scalar"][..],
+            &["--dense"][..],
+        ] {
+            let mut parts = vec!["deck.sp"];
+            parts.extend_from_slice(removed);
+            let e = parse_args(&argv(&parts)).unwrap_err();
+            assert!(
+                e.starts_with(&format!("unknown argument `{}`", removed[0])),
+                "{e}"
+            );
+        }
     }
 
     #[test]
@@ -569,51 +522,22 @@ mod tests {
     }
 
     #[test]
-    fn strategy_and_points_flags_parse_and_validate() {
-        let a = parse_args(&argv(&[
-            "x.sp",
-            "--strategy",
-            "multipoint",
-            "--points",
-            "500meg,-2g,1e6",
-        ]))
-        .unwrap();
-        assert_eq!(a.strategy, Some(StrategyArg::Multipoint));
-        assert_eq!(a.points.as_deref(), Some(&[5e8, -2e9, 1e6][..]));
+    fn strategy_flag_parses_and_validates() {
+        let a = parse_args(&argv(&["x.sp", "--strategy", "hier"])).unwrap();
+        assert_eq!(a.strategy, Some(StrategyArg::Hier));
         let opts = deck_options(&a).reduce_options().unwrap();
         assert!(matches!(
             opts.strategy,
-            pact::ReduceStrategy::Multipoint { .. }
+            pact::ReduceStrategy::Hierarchical { .. }
         ));
-        assert_eq!(
-            opts.expansion_points.as_deref(),
-            Some(&[5e8, -2e9, 1e6][..])
-        );
 
         // Explicit strategy beats the --hier alias.
         let b = parse_args(&argv(&["x.sp", "--hier", "--strategy", "flat"])).unwrap();
         let opts = deck_options(&b).reduce_options().unwrap();
         assert!(matches!(opts.strategy, pact::ReduceStrategy::Flat));
 
-        assert!(parse_args(&argv(&["x.sp", "--strategy", "magic"])).is_err());
-        assert!(parse_args(&argv(&["x.sp", "--points", "1g"])).is_err());
-        let e = parse_args(&argv(&[
-            "x.sp",
-            "--strategy",
-            "multipoint",
-            "--points",
-            "0",
-        ]))
-        .unwrap_err();
-        assert!(e.contains("finite and nonzero"));
-        assert!(parse_args(&argv(&[
-            "x.sp",
-            "--strategy",
-            "multipoint",
-            "--points",
-            "1g,,2g",
-        ]))
-        .is_err());
+        let e = parse_args(&argv(&["x.sp", "--strategy", "magic"])).unwrap_err();
+        assert!(e.contains("flat or hier"), "{e}");
     }
 
     #[test]
@@ -660,15 +584,23 @@ mod tests {
 
     #[test]
     fn dense_flag_keeps_lowrank_semantics_and_eigen_wins() {
-        // Bare --dense is the historical alias for the low-rank path.
-        let a = parse_args(&argv(&["x.sp", "--dense"])).unwrap();
+        // The low-rank path the old `--dense` alias named is reached
+        // through `--eigen lowrank`; the alias itself is now rejected.
+        let a = parse_args(&argv(&["x.sp", "--eigen", "lowrank"])).unwrap();
         assert!(matches!(eigen_select(&a), EigenSelect::LowRank));
         // Default (no flag) stays Lanczos.
         let d = parse_args(&argv(&["x.sp"])).unwrap();
         assert!(matches!(eigen_select(&d), EigenSelect::Lanczos(_)));
-        // An explicit --eigen overrides --dense.
-        let b = parse_args(&argv(&["x.sp", "--dense", "--eigen", "dense"])).unwrap();
+        // An explicit --eigen picks the backend.
+        let b = parse_args(&argv(&["x.sp", "--eigen", "dense"])).unwrap();
         assert!(matches!(eigen_select(&b), EigenSelect::Dense));
+        for parts in [
+            &["x.sp", "--dense"][..],
+            &["x.sp", "--dense", "--eigen", "dense"][..],
+        ] {
+            let e = parse_args(&argv(parts)).unwrap_err();
+            assert!(e.starts_with("unknown argument `--dense`"), "{e}");
+        }
     }
 
     #[test]

@@ -34,7 +34,6 @@ fn pact_and_krylov_agree_at_low_frequency() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
         chol_kernel: pact::CholKernel::Auto,
     };
     let pact_red = pact::reduce_network(&net, &opts).unwrap();
@@ -80,7 +79,6 @@ fn pade_basis_memory_couples_to_ports_pact_does_not() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
         chol_kernel: pact::CholKernel::Auto,
     };
     let pact_a = pact::reduce_network(&net_a, &opts).unwrap();

@@ -155,7 +155,6 @@ fn run_pipeline(net: &RcNetwork, strict_pivots: bool) -> Result<Reduction, PactE
         threads: None,
         pivot_relief: if strict_pivots { None } else { Some(1e-12) },
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
         chol_kernel: pact::CholKernel::Auto,
     };
     reduce_network(&sanitized.network, &opts)

@@ -114,7 +114,6 @@ fn reduced_ac_matches_below_fmax() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
         chol_kernel: pact::CholKernel::Auto,
     };
     let red = pact::reduce_network(&ex.network, &opts).expect("reduce");

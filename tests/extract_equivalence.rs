@@ -3,7 +3,7 @@
 //!
 //! For every host deck (inverter line, substrate mesh, power grid, and
 //! the mixed R/C/L/diode/MOSFET/VCVS acceptance deck) and every
-//! reduction strategy (flat, hierarchical, multipoint), the
+//! reduction strategy (flat, hierarchical), the
 //! reduced-and-restitched deck's AC sweep and transient waveforms are
 //! compared against the unreduced deck at every node the two decks
 //! share, to ≤1e-6 of signal scale in-band.
@@ -166,17 +166,12 @@ fn strategies() -> Vec<(&'static str, ReduceStrategy)> {
                 max_depth: 4,
             },
         ),
-        ("multipoint", ReduceStrategy::Multipoint { num_points: 2 }),
     ]
 }
 
 fn session_for(fmax: f64, strategy: ReduceStrategy) -> ReductionSession {
-    // The cutoff tolerance doubles as multipoint's pole-trimming budget
-    // (poles contributing less than a fraction of it in band are
-    // dropped), so it must sit below the 1e-6 equivalence bound this
-    // test asserts. Flat and hierarchical are exact here regardless:
-    // with `fmax` above every pole the congruence retains the full
-    // basis.
+    // With `fmax` above every pole the congruence retains the full
+    // basis, so both strategies are exact here.
     let mut opts = ReduceOptions::new(CutoffSpec::new(fmax, 1e-7).expect("cutoff"));
     opts.threads = Some(1);
     opts.strategy = strategy;

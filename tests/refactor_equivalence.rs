@@ -187,11 +187,12 @@ fn line_refactor_is_bit_identical_to_fresh_factor() {
     check_family(&line_fixture(), "line");
 }
 
-/// The multipoint expansion path: one `CscPencil` over `(G, C)`, the
-/// symbolic analysis captured from the real `s = 0` evaluation, then
-/// numeric refactorizations at shifted points — `Complex64` on the
-/// imaginary axis, `f64` on the negative real axis. Each must be
-/// bit-identical to a fresh factorization of the same shifted matrix.
+/// The admittance evaluator's path: one `CscPencil` over the internal
+/// `(D, E)` block, the symbolic analysis captured from the real `s = 0`
+/// evaluation, then numeric refactorizations at shifted points —
+/// `Complex64` on the imaginary axis, `f64` on the negative real axis.
+/// Each must be bit-identical to a fresh factorization of the same
+/// shifted matrix.
 #[test]
 fn pencil_refactor_at_nonzero_shifts_is_bit_identical() {
     for (label, net) in [
@@ -199,9 +200,9 @@ fn pencil_refactor_at_nonzero_shifts_is_bit_identical() {
         ("powergrid", powergrid_fixture()),
         ("line", line_fixture()),
     ] {
-        // The internal (D, E) block, exactly as the multipoint reducer
-        // shifts it — the full G can have zero conductance rows, but D
-        // is SPD, so the s = 0 capture is always well posed.
+        // The internal (D, E) block, as `YEvaluator` shifts it — the
+        // full G can have zero conductance rows, but D is SPD, so the
+        // s = 0 capture is always well posed.
         let parts = pact::Partitions::split(&net.stamp());
         let n = parts.n;
         let gtrips: Vec<(usize, usize, f64)> = (0..n)

@@ -101,30 +101,55 @@ fn malformed_json_response_is_golden() {
 #[test]
 fn unknown_option_response_is_golden() {
     let request = include_str!("fixtures/serve/unknown_option.jsonl");
+    let golden = include_str!("fixtures/serve/unknown_option.golden.jsonl").trim_end();
     let responses = serve_one(request.trim_end(), 1 << 20);
-    assert_eq!(
-        responses,
-        vec![include_str!("fixtures/serve/unknown_option.golden.jsonl").trim_end()]
-    );
+    assert_eq!(responses, vec![golden]);
+    // Removed options get the same typed rejection as a misspelling,
+    // never a silent no-op.
+    for (key, value) in [
+        ("points", "[1e9]"),
+        ("chol_kernel", r#""scalar""#),
+        ("dense", "true"),
+    ] {
+        let request = request.replace(r#""tolerance":0.1"#, &format!(r#""{key}":{value}"#));
+        let responses = serve_one(request.trim_end(), 1 << 20);
+        assert_eq!(responses, vec![golden.replace("tolerance", key)], "{key}");
+    }
 }
 
 #[test]
 fn bad_strategy_response_is_golden() {
     let request = include_str!("fixtures/serve/bad_strategy.jsonl");
+    let golden = include_str!("fixtures/serve/bad_strategy.golden.jsonl").trim_end();
     let responses = serve_one(request.trim_end(), 1 << 20);
-    assert_eq!(
-        responses,
-        vec![include_str!("fixtures/serve/bad_strategy.golden.jsonl").trim_end()]
-    );
+    assert_eq!(responses, vec![golden]);
+    // The removed multipoint strategy is rejected like any unknown name.
+    let request = request.replace("quadtree", "multipoint");
+    let responses = serve_one(request.trim_end(), 1 << 20);
+    assert_eq!(responses, vec![golden.replace("quadtree", "multipoint")]);
 }
 
 #[test]
 fn bad_points_response_is_golden() {
-    let request = include_str!("fixtures/serve/bad_points.jsonl");
-    let responses = serve_one(request.trim_end(), 1 << 20);
+    // The request that once pinned the `points` validation message: both
+    // the multipoint strategy and the `points` key are gone, so it is now
+    // refused as a typed error rather than reduced with `points` dropped.
+    let request = r#"{"id":"pts-1","deck":"* d\nR1 a 0 1k\nV1 a 0 1\n.end\n","options":{"strategy":"multipoint","points":[0]}}"#;
+    let responses = serve_one(request, 1 << 20);
     assert_eq!(
         responses,
-        vec![include_str!("fixtures/serve/bad_points.golden.jsonl").trim_end()]
+        vec![
+            r#"{"schema":"rcfitd-v1","id":"pts-1","ok":false,"error":{"code":"bad_request","message":"strategy expects flat or hier (got `multipoint`)"}}"#
+        ]
+    );
+    // Without the strategy, the `points` key alone is an unknown option.
+    let request = request.replace(r#""strategy":"multipoint","#, "");
+    let responses = serve_one(&request, 1 << 20);
+    assert_eq!(
+        responses,
+        vec![
+            r#"{"schema":"rcfitd-v1","id":"pts-1","ok":false,"error":{"code":"unknown_option","message":"unknown option `points`"}}"#
+        ]
     );
 }
 
