@@ -50,6 +50,9 @@ EOF
     2> "$tmp/trace.txt"
 grep -q "rcfit-telemetry-v1" "$tmp/telemetry.json"
 grep -q "supernode_count" "$tmp/telemetry.json"
+# Transform 1's path (Gram product or Z-solve fall-back) shows in counters.
+grep -q "moment_gram_rows" "$tmp/telemetry.json"
+grep -q "moment_solve_cols" "$tmp/trace.txt"
 grep -q "phase" "$tmp/trace.txt"
 test -s "$tmp/reduced.sp"
 

@@ -209,6 +209,8 @@ pub(crate) fn reduce_prepared_leaf(
     let moments_start = Instant::now();
     let (t1, panel) = Transform1::with_factor_panel(parts, chol, &ctx, two_level);
     tel.record_phase("moments", moments_start.elapsed().as_secs_f64());
+    tel.counters.moment_solve_cols = t1.solve_cols as u64;
+    tel.counters.moment_gram_rows = t1.gram_rows as u64;
 
     let port_names: Vec<String> = prep.network.node_names[..prep.network.num_ports].to_vec();
     let (model, poles_dim_hint);
@@ -261,7 +263,9 @@ pub(crate) fn reduce_prepared_leaf(
     let chol_memory = t1.chol.memory_bytes();
     let modelled = chol_memory
         + 2 * m * m * 8                 // A', B'
-        + poles_dim_hint * parts.n * 8  // X columns / Ritz vectors
+        // X columns / Ritz vectors, or the moments' X_S, (EX)_S rows
+        // (freed before the pole analysis), whichever is larger.
+        + (poles_dim_hint * parts.n).max(2 * m * t1.gram_rows) * 8
         + parts.n * m * 8               // retained S panel
         + k * m * 8                     // R''
         + 4 * parts.n * 8; // solver workspace

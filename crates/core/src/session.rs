@@ -378,6 +378,8 @@ impl ReductionSession {
         tel.counters.panel_flops = chol.panel_flops();
 
         let t1 = tel.time("moments", || Transform1::with_factor(&parts, chol, &ctx));
+        tel.counters.moment_solve_cols = t1.solve_cols as u64;
+        tel.counters.moment_gram_rows = t1.gram_rows as u64;
         let lambda_c = self.opts.cutoff.lambda_c();
 
         let eigen_start = Instant::now();
@@ -404,10 +406,15 @@ impl ReductionSession {
 
         let m = parts.m;
         let k = model.lambdas.len();
+        // Beside the factor, the peak is the larger of the moments' row
+        // store X_S, (EX)_S (freed before the eigen phase) and the eigen
+        // phase's vectors: the Lanczos basis with the Ritz vectors held
+        // beside it, or the Ritz vectors alone when another backend ran.
+        let eigen_vectors = sol.lanczos.map_or(k, |ls| ls.peak_vectors.max(k));
         let chol_memory = t1.chol.memory_bytes();
         let modelled = chol_memory
             + 2 * m * m * 8              // A', B'
-            + k * parts.n * 8            // Ritz vectors
+            + (2 * m * t1.gram_rows).max(eigen_vectors * parts.n) * 8
             + k * m * 8                  // R''
             + 4 * parts.n * 8; // solver workspace
         Ok(finish_reduction(

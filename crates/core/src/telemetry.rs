@@ -52,6 +52,13 @@ pub struct Counters {
     /// Structural flops of the supernodal numeric factorization — a
     /// function of the sparsity pattern only, so thread-count invariant.
     pub panel_flops: u64,
+    /// Right-hand-side columns sent through full `D⁻¹` solves by the
+    /// first congruence transform's moments (`X`, `Y` when `R ≠ 0`, and
+    /// `Z` when `XᵀEX` was not formed in Gram form).
+    pub moment_solve_cols: u64,
+    /// Rows `|S|` of the support of `E` over which `XᵀEX` was formed as
+    /// the Gram product `X_Sᵀ(EX)_S`; 0 when the `Z` solve ran instead.
+    pub moment_gram_rows: u64,
     /// Pivots replaced by the relief floor (see `PivotPolicy::Perturb`).
     pub perturbed_pivots: u64,
     /// Internal nodes pruned for lacking a resistive path to any port.
@@ -125,6 +132,8 @@ impl Counters {
         self.supernode_count += other.supernode_count;
         self.max_panel_cols = self.max_panel_cols.max(other.max_panel_cols);
         self.panel_flops += other.panel_flops;
+        self.moment_solve_cols += other.moment_solve_cols;
+        self.moment_gram_rows += other.moment_gram_rows;
         self.perturbed_pivots += other.perturbed_pivots;
         self.pruned_internal_nodes += other.pruned_internal_nodes;
         self.disconnected_ports += other.disconnected_ports;
@@ -167,6 +176,8 @@ impl Counters {
             ("supernode_count", self.supernode_count),
             ("max_panel_cols", self.max_panel_cols),
             ("panel_flops", self.panel_flops),
+            ("moment_solve_cols", self.moment_solve_cols),
+            ("moment_gram_rows", self.moment_gram_rows),
             ("perturbed_pivots", self.perturbed_pivots),
             ("pruned_internal_nodes", self.pruned_internal_nodes),
             ("disconnected_ports", self.disconnected_ports),

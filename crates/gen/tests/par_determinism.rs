@@ -93,6 +93,14 @@ fn assert_bit_identical(base: &Reduction, other: &Reduction, what: &str) {
         "{what}: poles differ"
     );
     assert_eq!(base.model.r2, other.model.r2, "{what}: R'' differs");
+    // Which XᵀEX path Transform 1 took (Gram product or Z solve) depends
+    // only on the network, never on the thread count.
+    let (b, o) = (&base.telemetry.counters, &other.telemetry.counters);
+    assert_eq!(
+        (b.moment_solve_cols, b.moment_gram_rows),
+        (o.moment_solve_cols, o.moment_gram_rows),
+        "{what}: moment solve/Gram counters differ"
+    );
     // The deterministic telemetry subset (counters + warnings, no wall
     // times) must also be invariant: identical structured values and an
     // identical serialized JSON byte string.
@@ -141,6 +149,16 @@ fn check_fixture(net: &RcNetwork, label: &str) {
         assert!(
             base.telemetry.counters.panel_flops > 0,
             "{label}/{ename}: supernodal kernel reported no panel flops"
+        );
+        // Both fixtures take the Gram form of XᵀEX (m·|S| ≤ nnz(L)), so
+        // its tiled product is what the thread sweep below checks.
+        assert!(
+            base.telemetry.counters.moment_solve_cols > 0,
+            "{label}/{ename}: Transform 1 reported no solve columns"
+        );
+        assert!(
+            base.telemetry.counters.moment_gram_rows > 0,
+            "{label}/{ename}: Transform 1 fell back to the Z solve"
         );
         for threads in [2usize, 4, 8] {
             let par = reduce_with_threads(net, &eigen, threads);

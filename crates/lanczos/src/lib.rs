@@ -37,7 +37,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use pact_sparse::{axpy, dot, eig_tridiagonal, norm2, CsrMat, DMat, ParCtx, XorShiftRng};
+use pact_sparse::{
+    axpy, dot, eig_tridiagonal, eig_tridiagonal_last_row, norm2, CsrMat, DMat, ParCtx, XorShiftRng,
+};
 
 /// A symmetric linear operator presented only through matrix–vector
 /// products, so large operators (like PACT's `L⁻¹ E L⁻ᵀ`) never need to
@@ -305,9 +307,6 @@ fn lanczos_run(
     let mut av = vec![0.0; n];
     let mut breakdown = false;
     let mut new_this_run = 0usize;
-    // Ritz indices (into the current T eigendecomposition) promoted this
-    // run, keyed by rounded eigenvalue to survive re-decomposition.
-    let mut promoted: Vec<usize> = Vec::new();
     // Ritz values already assembled and residual-tested this run
     // (accepted *or* rejected as linearly dependent). A converged Ritz
     // value is stable across later decompositions to within its residual
@@ -383,76 +382,80 @@ fn lanczos_run(
         let k = alphas.len();
         let at_end = breakdown || k == max_iters;
         if at_end || k.is_multiple_of(cfg.check_every) {
-            // Ritz extraction from T_k (eq. 17/18).
-            let (vals, z) = eig_tridiagonal(&alphas, &betas[..k - 1], true)?;
+            // Ritz extraction from T_k (eq. 17/18). Every test below
+            // reads only the last row of T_k's eigenvector matrix; the
+            // full matrix (O(k³)) is solved only when some Ritz value is
+            // due for assembly.
+            let (vals, z_last) = eig_tridiagonal_last_row(&alphas, &betas[..k - 1])?;
             let beta_k = betas[k - 1];
             let t_scale = t_norm.max(1e-300);
-            promoted.clear();
-            // Count this run's accepted values to re-match after each new
-            // decomposition: accept any unclaimed converged Ritz value
-            // above the cutoff that is not already represented.
-            for (idx, &theta) in vals.iter().enumerate() {
-                if theta <= lambda_min {
-                    continue;
-                }
-                let bound = beta_k * z[(k - 1, idx)].abs();
-                if bound > cfg.conv_tol * t_scale {
-                    continue;
-                }
-                // Already assembled this run (to within residual-bound
-                // drift)? The verdict would repeat; skip the O(k·n) sweep.
-                let match_tol = 16.0 * cfg.conv_tol * t_scale;
-                if tested.iter().any(|&t| (t - theta).abs() <= match_tol) {
-                    continue;
-                }
-                promoted.push(idx);
-                // Is this Ritz value already represented among converged
-                // pairs from this run? Match by assembling the vector and
-                // checking its residual after deflation.
-                let mut u = vec![0.0; n];
-                for (row, b) in basis.iter().enumerate() {
-                    axpy(z[(row, idx)], b, &mut u);
-                }
-                orthogonalize_against(&mut u, converged, stats, ctx);
-                let un = norm2(&u);
-                if un > 1e-6 {
-                    pact_sparse::scale(1.0 / un, &mut u);
-                    // Verify it is a genuine eigenvector (guards against
-                    // spurious copies under Reorthogonalization::None).
-                    let mut au = vec![0.0; n];
-                    op.apply(&u, &mut au);
-                    stats.matvecs += 1;
-                    let mut r = au;
-                    axpy(-theta, &u, &mut r);
-                    if norm2(&r) <= (cfg.conv_tol.sqrt() * t_scale).max(1e-8 * t_scale) {
-                        converged.push(RitzPair {
-                            value: theta,
-                            vector: u,
-                            residual_bound: bound,
-                        });
-                        new_this_run += 1;
+            let bound = |idx: usize| beta_k * z_last[idx].abs();
+            // Already assembled this run (to within residual-bound
+            // drift)? The verdict would repeat; skip the O(k·n) sweep.
+            let match_tol = 16.0 * cfg.conv_tol * t_scale;
+            let is_candidate = |idx: usize, tested: &[f64]| {
+                let theta = vals[idx];
+                theta > lambda_min
+                    && bound(idx) <= cfg.conv_tol * t_scale
+                    && !tested.iter().any(|&t| (t - theta).abs() <= match_tol)
+            };
+            if (0..k).any(|idx| is_candidate(idx, &tested)) {
+                let (_, z) = eig_tridiagonal(&alphas, &betas[..k - 1], true)?;
+                // Accept any unclaimed converged Ritz value above the
+                // cutoff that is not already represented.
+                for (idx, &theta) in vals.iter().enumerate() {
+                    if !is_candidate(idx, &tested) {
+                        continue;
+                    }
+                    // Is this Ritz value already represented among
+                    // converged pairs from this run? Match by assembling
+                    // the vector and checking its residual after deflation.
+                    let mut u = vec![0.0; n];
+                    for (row, b) in basis.iter().enumerate() {
+                        axpy(z[(row, idx)], b, &mut u);
+                    }
+                    orthogonalize_against(&mut u, converged, stats, ctx);
+                    let un = norm2(&u);
+                    if un > 1e-6 {
+                        pact_sparse::scale(1.0 / un, &mut u);
+                        // Verify it is a genuine eigenvector (guards
+                        // against spurious copies under
+                        // Reorthogonalization::None).
+                        let mut au = vec![0.0; n];
+                        op.apply(&u, &mut au);
+                        stats.matvecs += 1;
+                        let mut r = au;
+                        axpy(-theta, &u, &mut r);
+                        if norm2(&r) <= (cfg.conv_tol.sqrt() * t_scale).max(1e-8 * t_scale) {
+                            converged.push(RitzPair {
+                                value: theta,
+                                vector: u,
+                                residual_bound: bound(idx),
+                            });
+                            new_this_run += 1;
+                            tested.push(theta);
+                        }
+                        // A residual failure is a ghost (possible without
+                        // reorthogonalization); leave it re-testable — it
+                        // may become genuine once the sequence converges
+                        // further.
+                    } else {
+                        // Linearly dependent on already-accepted pairs: a
+                        // duplicate this Krylov sequence cannot resolve.
                         tested.push(theta);
                     }
-                    // A residual failure is a ghost (possible without
-                    // reorthogonalization); leave it re-testable — it may
-                    // become genuine once the sequence converges further.
-                } else {
-                    // Linearly dependent on already-accepted pairs: a
-                    // duplicate this Krylov sequence cannot resolve.
-                    tested.push(theta);
                 }
             }
             // Boundary proof: some Ritz value at/below the cutoff has
             // (loosely) converged, or the subspace is exhausted.
             let boundary_proven = vals.iter().enumerate().any(|(idx, &theta)| {
-                theta <= lambda_min
-                    && beta_k * z[(k - 1, idx)].abs() <= cfg.conv_tol.sqrt() * t_scale
+                theta <= lambda_min && bound(idx) <= cfg.conv_tol.sqrt() * t_scale
             });
             let all_above_converged = vals
                 .iter()
                 .enumerate()
                 .filter(|&(_, &theta)| theta > lambda_min)
-                .all(|(idx, _)| beta_k * z[(k - 1, idx)].abs() <= cfg.conv_tol * t_scale);
+                .all(|(idx, _)| bound(idx) <= cfg.conv_tol * t_scale);
             stats.peak_vectors = stats.peak_vectors.max(basis.len() + converged.len());
             if all_above_converged && boundary_proven {
                 return Ok(RunOutcome::SpectrumResolved);

@@ -8,7 +8,9 @@
 //!
 //! The tridiagonal-only entry point [`eig_tridiagonal`] is also the
 //! workhorse the Lanczos solver uses to extract Ritz values/vectors from
-//! its tridiagonal matrix `T` (eq. 17 of the paper).
+//! its tridiagonal matrix `T` (eq. 17 of the paper);
+//! [`eig_tridiagonal_last_row`] gives its convergence checks the Ritz
+//! values and the last eigenvector row without the `O(k³)` vectors.
 
 use crate::dense::DMat;
 
@@ -118,6 +120,46 @@ pub fn eig_tridiagonal(
     e: &[f64],
     want_vectors: bool,
 ) -> Result<(Vec<f64>, DMat<f64>), EigenError> {
+    let z = if want_vectors {
+        DMat::identity(d.len())
+    } else {
+        DMat::zeros(0, 0)
+    };
+    tridiagonal_ql(d, e, z)
+}
+
+/// Eigenvalues (ascending) and the **last row** of the eigenvector matrix
+/// of the symmetric tridiagonal matrix `(d, e)` — the only part of the
+/// eigenvectors a Lanczos convergence test reads (`β_k·|z_kj|`).
+///
+/// The QL rotations act on each row of the accumulated eigenvector matrix
+/// independently, so running them on the single row `e_kᵀ` costs `O(k)`
+/// per sweep instead of `O(k²)` and yields exactly the last row of
+/// [`eig_tridiagonal`]'s full matrix: eigenvalues and row are bitwise
+/// equal to the full solve's.
+///
+/// # Errors
+///
+/// See [`eig_tridiagonal`].
+pub fn eig_tridiagonal_last_row(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Vec<f64>), EigenError> {
+    let n = d.len();
+    let mut z = DMat::zeros(usize::from(n > 0), n);
+    if n > 0 {
+        z[(0, n - 1)] = 1.0;
+    }
+    let (vals, z) = tridiagonal_ql(d, e, z)?;
+    let row = if n > 0 { z.row(0) } else { Vec::new() };
+    Ok((vals, row))
+}
+
+/// Shared body of the tridiagonal entry points: validates `(d, e)`, runs
+/// the QL iteration accumulating rotations into the rows of `z` (none when
+/// `z` has no rows), and sorts ascending.
+fn tridiagonal_ql(
+    d: &[f64],
+    e: &[f64],
+    mut z: DMat<f64>,
+) -> Result<(Vec<f64>, DMat<f64>), EigenError> {
     let n = d.len();
     assert!(n == 0 || e.len() == n - 1, "off-diagonal length mismatch");
     if n == 0 {
@@ -137,13 +179,9 @@ pub fn eig_tridiagonal(
     // tql2 wants e shifted: e[i] = subdiagonal below d[i], with e[n-1] = 0.
     let mut ee = vec![0.0; n];
     ee[..n - 1].copy_from_slice(e);
-    let mut z = if want_vectors {
-        DMat::identity(n)
-    } else {
-        DMat::zeros(0, 0)
-    };
-    tql2_raw(&mut dd, &mut ee, &mut z, want_vectors)?;
-    if want_vectors {
+    let with_z = z.nrows() > 0;
+    tql2_raw(&mut dd, &mut ee, &mut z, with_z)?;
+    if with_z {
         sort_ascending(&mut dd, &mut z);
     } else {
         dd.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -446,6 +484,76 @@ mod tests {
         assert!(e.values.is_empty());
         let (vals, _) = eig_tridiagonal(&[7.0], &[], true).unwrap();
         assert_eq!(vals, vec![7.0]);
+    }
+
+    /// The last-row solve against the full solve, bit for bit.
+    fn assert_last_row_matches_full(d: &[f64], e: &[f64], what: &str) {
+        let (vals, z) = eig_tridiagonal(d, e, true).unwrap();
+        let (vals_row, row) = eig_tridiagonal_last_row(d, e).unwrap();
+        let n = d.len();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&vals_row), bits(&vals), "{what}: eigenvalues differ");
+        let full_row: Vec<f64> = (0..n).map(|j| z[(n - 1, j)]).collect();
+        assert_eq!(bits(&row), bits(&full_row), "{what}: last row differs");
+    }
+
+    #[test]
+    fn last_row_matches_full_solve_on_random_tridiagonals() {
+        let mut rng = crate::XorShiftRng::seed_from_u64(0x7d1a);
+        for n in [1usize, 2, 3, 7, 40, 150] {
+            for _ in 0..4 {
+                let d: Vec<f64> = (0..n).map(|_| rng.gen_range_f64(-3.0, 3.0)).collect();
+                let e: Vec<f64> = (1..n).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect();
+                assert_last_row_matches_full(&d, &e, &format!("random n={n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn last_row_matches_full_solve_on_lanczos_like_spectra() {
+        // A Lanczos T of a decaying spectrum: positive, rapidly shrinking
+        // diagonal and couplings, a few converged extreme Ritz values.
+        let mut rng = crate::XorShiftRng::seed_from_u64(0x1a2c05);
+        for n in [10usize, 60, 200] {
+            let d: Vec<f64> = (0..n)
+                .map(|i| 1e-9 * (-(i as f64) / 6.0).exp() * rng.gen_range_f64(0.5, 1.5))
+                .collect();
+            let e: Vec<f64> = (1..n)
+                .map(|i| 1e-10 * (-(i as f64) / 8.0).exp() * rng.gen_range_f64(0.1, 1.0))
+                .collect();
+            assert_last_row_matches_full(&d, &e, &format!("decaying n={n}"));
+        }
+    }
+
+    #[test]
+    fn last_row_matches_full_solve_on_clustered_and_repeated_eigenvalues() {
+        // A repeated eigenvalue with rounding-level couplings.
+        let n = 30;
+        let d = vec![2.0; n];
+        let e: Vec<f64> = (1..n).map(|i| 1e-18 * i as f64).collect();
+        assert_last_row_matches_full(&d, &e, "repeated");
+        // A cluster of near-zero eigenvalues beside a few large ones: the
+        // absolute deflation floor, not the relative test, ends the QL
+        // sweeps inside the cluster.
+        let mut d = vec![1e-17; n];
+        d[..3].copy_from_slice(&[5.0, 4.0, 3.0]);
+        let e: Vec<f64> = (1..n).map(|i| if i < 4 { 0.5 } else { 1e-18 }).collect();
+        assert_last_row_matches_full(&d, &e, "near-zero cluster");
+        // Exactly decoupled blocks with equal spectra.
+        let d = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0];
+        let e = [0.3, 0.0, 0.3, 0.0, 0.3];
+        assert_last_row_matches_full(&d, &e, "decoupled copies");
+        assert_last_row_matches_full(&[0.0; 5], &[0.0; 4], "zero matrix");
+    }
+
+    #[test]
+    fn last_row_of_empty_matrix_is_empty() {
+        let (vals, row) = eig_tridiagonal_last_row(&[], &[]).unwrap();
+        assert!(vals.is_empty() && row.is_empty());
+        assert!(matches!(
+            eig_tridiagonal_last_row(&[1.0, f64::NAN], &[0.0]),
+            Err(EigenError::NonFinite { index: 1 })
+        ));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   scalar up-looking reference kernel stays behind [`CholKernel`]);
 //! - [`sym_eig`] / [`eig_tridiagonal`]: dense symmetric eigensolver
 //!   (Householder + implicit-shift QL), the oracle behind pole analysis
-//!   and the extractor for Lanczos' tridiagonal `T`;
+//!   and the extractor for Lanczos' tridiagonal `T`
+//!   ([`eig_tridiagonal_last_row`] serves its convergence checks);
 //! - [`DenseLu`] and [`SparseLu`]: LU with partial pivoting, generic over
 //!   real/complex [`Scalar`]s, powering the circuit simulator's MNA solves;
 //!   [`SymbolicLu`] / [`LuCache`] factor once symbolically and refactor
@@ -73,7 +74,7 @@ pub use complex::{Complex64, Scalar};
 pub use coo::TripletMat;
 pub use csr::CsrMat;
 pub use dense::{axpy, dot, ldl_update_trapezoid, norm2, norm_inf, scale, DMat, DMatF};
-pub use eigen::{eig_tridiagonal, sym_eig, EigenError, SymEig};
+pub use eigen::{eig_tridiagonal, eig_tridiagonal_last_row, sym_eig, EigenError, SymEig};
 pub use factor::Factorization;
 pub use lu::{invert, DenseLu, SingularMatrixError};
 pub use ordering::{
