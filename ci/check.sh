@@ -56,12 +56,12 @@ grep -q "moment_solve_cols" "$tmp/trace.txt"
 grep -q "phase" "$tmp/trace.txt"
 test -s "$tmp/reduced.sp"
 
-echo "==> rcfit --hier smoke test"
+echo "==> rcfit --strategy hier smoke test"
 ./target/release/gen_mesh 16 16 4 16 "$tmp/hier_mesh.sp" > /dev/null
 hier_ports=""
 for i in $(seq 0 15); do hier_ports="$hier_ports --port port$i"; done
 # shellcheck disable=SC2086
-./target/release/rcfit $hier_ports --fmax 2e9 --hier --block-size 128 \
+./target/release/rcfit $hier_ports --fmax 2e9 --strategy hier --block-size 128 \
     --log-json "$tmp/hier_telemetry.json" -o "$tmp/hier_reduced.sp" \
     "$tmp/hier_mesh.sp" > /dev/null
 test -s "$tmp/hier_reduced.sp"
@@ -247,8 +247,9 @@ grep -q "chain collapse OK" "$tmp/extract_smoke.txt"
 mkdir -p results
 {
     echo "# Chain-collapse A/B smoke: 2000-segment line deck, fmax 1 GHz,"
-    echo "# $(nproc) core(s). reduce_embedded wall clock, extraction only vs"
-    echo "# collapse + extraction. Full run: BENCH_extract.json"
+    echo "# $(nproc) core(s). Deck-to-deck wall clock of the shared pipeline"
+    echo "# (rcfit --extract), extraction only vs collapse + extraction."
+    echo "# Full run: BENCH_extract.json"
     echo "# (cargo run --release -p pact-bench --bin chain_collapse)."
     grep "^PERF " "$tmp/extract_smoke.txt"
 } > results/extract_perf.txt
@@ -288,5 +289,21 @@ print(f"extraction telemetry ok: {c['extract_subnets']} island(s), "
       f"{c['chains_collapsed']} chain(s) collapsed, "
       f"{c['nodes_eliminated']} nodes eliminated")
 EOF
+
+echo "==> rcfit --extract pass-through smoke (deck with no RC)"
+# A deck with no parasitics has nothing to reduce: --extract must exit 0
+# and write every original element back out.
+cat > "$tmp/no_rc.sp" <<'EOF'
+* no parasitics
+V1 a 0 1
+M1 b a 0 0 n
+.model n nmos()
+.end
+EOF
+./target/release/rcfit --extract -o "$tmp/no_rc_out.sp" "$tmp/no_rc.sp"
+for element in V1 M1; do
+    grep -q "^$element " "$tmp/no_rc_out.sp"
+done
+grep -q "^.model n nmos" "$tmp/no_rc_out.sp"
 
 echo "==> all checks passed"

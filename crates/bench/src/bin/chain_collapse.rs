@@ -1,7 +1,9 @@
 //! Chain-collapse before/after study: reduces the embedded RC content of
-//! a long transmission-line deck with and without the degree-2
-//! chain-collapse pre-pass and writes the comparison to
-//! `BENCH_extract.json` (Table 1/3-style before/after timings).
+//! a long transmission-line deck through the deck pipeline
+//! (`prepare_netlist` → `reduce_prepared` → `render_reduced` with
+//! `extract` on) with and without the degree-2 chain-collapse pre-pass
+//! and writes the comparison to `BENCH_extract.json` (Table 1/3-style
+//! before/after timings).
 //!
 //! The pre-pass replaces each degree-2 RC chain with an `m`-segment
 //! equivalent chosen from the collapse spec's `(f_max, tol)` budget, so
@@ -25,14 +27,12 @@
 //! Defaults to a 2000-segment line; `--smoke` keeps the same deck but
 //! skips nothing — the workload is already CI-sized.
 
-use pact::{
-    reduce_embedded, ChainCollapseSpec, CutoffSpec, EmbeddedReduction, ExtractOptions,
-    ReduceOptions, ReductionSession,
-};
+use pact::{CutoffSpec, ReduceOptions, ReductionSession, Telemetry};
 use pact_bench::{print_table, secs, timed};
 use pact_circuit::{log_frequencies, AcExcitation, Circuit};
 use pact_gen::{inverter_pair_deck, rich_mixed_deck, LineSpec, RichDeckSpec};
-use pact_netlist::Netlist;
+use pact_netlist::{parse, Netlist};
+use pact_serve::{prepare_netlist, reduce_prepared, render_reduced, DeckOptions};
 
 /// In-band analysis ceiling and the collapse error budget against it.
 const F_MAX: f64 = 1e9;
@@ -47,14 +47,48 @@ fn session() -> ReductionSession {
     ReductionSession::new(opts)
 }
 
-fn run(deck: &Netlist, collapse: bool) -> (EmbeddedReduction, f64) {
-    let opts = ExtractOptions {
-        collapse: collapse
-            .then(|| ChainCollapseSpec::new(F_MAX, COLLAPSE_TOL).expect("collapse spec")),
-        ..ExtractOptions::default()
+/// What one extraction run produced.
+struct Run {
+    /// The re-stitched deck, rendered.
+    text: String,
+    /// Extraction, collapse and reduction telemetry.
+    telemetry: Telemetry,
+    /// Internal RC nodes in the deck before any rewriting.
+    nodes_before: usize,
+    /// Retained poles across every reduced subnetwork.
+    nodes_after: usize,
+}
+
+impl Run {
+    fn deck(&self) -> Netlist {
+        parse(&self.text).expect("re-stitched deck parses")
+    }
+}
+
+/// Deck text to re-stitched deck text, timed.
+fn run(deck: &Netlist, collapse: bool) -> (Run, f64) {
+    let opts = DeckOptions {
+        f_max: F_MAX,
+        sparsify: 0.0,
+        extract: true,
+        collapse_chains: collapse,
+        chain_tol: COLLAPSE_TOL,
+        ..DeckOptions::default()
     };
     let mut s = session();
-    timed(|| reduce_embedded(deck, &mut s, &opts).expect("reduce_embedded"))
+    timed(|| {
+        let prep = prepare_netlist(deck, &opts).expect("prepare");
+        let red = reduce_prepared(&prep, &mut s, &opts).expect("reduce");
+        let mut telemetry = prep.telemetry.clone();
+        telemetry.absorb(&red.telemetry());
+        let (text, _) = render_reduced(&prep, &red, "pact", opts.sparsify, &mut telemetry);
+        Run {
+            text,
+            telemetry,
+            nodes_before: prep.raw_internal,
+            nodes_after: red.num_poles(),
+        }
+    })
 }
 
 /// Worst relative in-band AC deviation between two decks at every node
@@ -112,15 +146,14 @@ fn main() {
     // responses.
     let (again, _) = run(&deck, true);
     assert_eq!(
-        collapsed.deck.to_string(),
-        again.deck.to_string(),
+        collapsed.text, again.text,
         "collapse pipeline must be deterministic"
     );
 
     // The re-stitched deck tracks the unreduced one within the collapse
     // budget across the band.
     let freqs = log_frequencies(16, F_MAX / 1e3, F_MAX);
-    let dev = worst_ac_deviation(&deck, &collapsed.deck, "Vin", &freqs);
+    let dev = worst_ac_deviation(&deck, &collapsed.deck(), "Vin", &freqs);
     assert!(
         dev <= 10.0 * COLLAPSE_TOL,
         "collapsed deck deviates by {dev:.3e} in band (budget {COLLAPSE_TOL:.0e})"
@@ -136,7 +169,7 @@ fn main() {
     );
     let rich_dev = worst_ac_deviation(
         &rich,
-        &rich_red.deck,
+        &rich_red.deck(),
         "Vin",
         &log_frequencies(8, 1e6, F_MAX),
     );
@@ -147,7 +180,7 @@ fn main() {
 
     let speedup = plain_s / collapsed_s;
     print_table(
-        "Chain collapse A/B (reduce_embedded wall clock)",
+        "Chain collapse A/B (deck pipeline wall clock)",
         &["mode", "seconds", "island nodes", "eliminated", "speedup"],
         &[
             vec![
@@ -190,8 +223,8 @@ fn main() {
 /// Hand-rolled JSON (the workspace has no serializer dependency).
 fn render_json(
     segments: usize,
-    plain: &EmbeddedReduction,
-    collapsed: &EmbeddedReduction,
+    plain: &Run,
+    collapsed: &Run,
     plain_s: f64,
     collapsed_s: f64,
     ac_dev: f64,

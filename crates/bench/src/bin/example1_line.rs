@@ -79,7 +79,7 @@ fn main() {
         "retained poles: {} (paper: 1), reduction time {} s, modelled memory {} MB",
         model.num_poles(),
         secs(elapsed),
-        mb(red.stats.modelled_memory_bytes)
+        mb(red.telemetry.counters.modelled_memory_bytes as usize)
     );
     for f in model.pole_frequencies() {
         println!("pole at {:.2} GHz (paper: 4.7 GHz)", f / 1e9);

@@ -40,7 +40,6 @@ fn main() {
             chol_kernel: pact::CholKernel::Auto,
         };
         let (pact_red, t_pact) = timed(|| pact::reduce_network(&net, &opts).expect("pact"));
-        let laso = pact_red.stats.lanczos.unwrap_or_default();
 
         // Same reduction with the scalar up-looking Cholesky kernel:
         // isolates the supernodal speedup on the factorization hot path.
@@ -60,7 +59,10 @@ fn main() {
             format!("{}", pact_red.model.num_poles()),
             secs(t_pact),
             secs(t_scalar),
-            format!("{}", laso.orthogonalizations),
+            format!(
+                "{}",
+                pact_red.telemetry.counters.lanczos_reorthogonalizations
+            ),
             mb(pact_lanczos_memory(n, pact_red.model.num_poles())),
             secs(t_kry),
             format!("{}", krylov.orthogonalizations),

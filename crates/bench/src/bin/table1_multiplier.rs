@@ -27,7 +27,7 @@ fn main() {
             "PACT reduced (5 %, 500 MHz)",
             &deck_red,
             deck_red.count(Element::is_rc),
-            Some((t_red, red.stats.modelled_memory_bytes)),
+            Some((t_red, red.telemetry.counters.modelled_memory_bytes as usize)),
         ),
     ] {
         let ckt = Circuit::from_netlist(deck).expect("compile");

@@ -92,7 +92,7 @@ fn main() {
             format!("{rc}"),
             format!("{}", red.model.num_poles()),
             secs(t_red),
-            mb(red.stats.modelled_memory_bytes),
+            mb(red.telemetry.counters.modelled_memory_bytes as usize),
             secs(ac_t),
             mb(red_ac.stats.modelled_memory_bytes),
         ]);

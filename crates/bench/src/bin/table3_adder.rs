@@ -35,7 +35,7 @@ fn main() {
         (
             "reduced, 1 GHz",
             &reduced_nl,
-            Some((t_red, red.stats.modelled_memory_bytes)),
+            Some((t_red, red.telemetry.counters.modelled_memory_bytes as usize)),
         ),
     ] {
         let ckt = Circuit::from_netlist(d).expect("compile");

@@ -83,7 +83,7 @@ fn main() {
                 format!("{rr}"),
                 format!("{rc}"),
                 secs(elapsed),
-                mb(red.stats.modelled_memory_bytes),
+                mb(red.telemetry.counters.modelled_memory_bytes as usize),
             ],
             vec![
                 "scalar chol kernel".into(),
@@ -92,7 +92,7 @@ fn main() {
                 "-".into(),
                 "-".into(),
                 secs(selapsed),
-                mb(sred.stats.modelled_memory_bytes),
+                mb(sred.telemetry.counters.modelled_memory_bytes as usize),
             ],
             vec![
                 "hier, block 2000".into(),
@@ -101,7 +101,7 @@ fn main() {
                 "-".into(),
                 "-".into(),
                 secs(helapsed),
-                mb(hred.stats.modelled_memory_bytes),
+                mb(hred.telemetry.counters.modelled_memory_bytes as usize),
             ],
         ],
     );
@@ -127,13 +127,13 @@ fn main() {
     );
     println!(
         "Cholesky factor: {} nnz = {} MB of the total (paper: 19.5 of 25.8 MB)",
-        red.stats.chol_nnz,
-        mb(red.stats.chol_memory_bytes)
+        c.chol_nnz,
+        mb(c.chol_memory_bytes as usize)
     );
-    if let Some(ls) = red.stats.lanczos {
+    if c.lanczos_matvecs > 0 {
         println!(
-            "LASO: {} matvecs, {} iterations, {} restarts, peak {} length-n vectors",
-            ls.matvecs, ls.iterations, ls.restarts, ls.peak_vectors
+            "LASO: {} matvecs, {} iterations, {} restarts",
+            c.lanczos_matvecs, c.lanczos_iterations, c.lanczos_restarts
         );
     }
 
@@ -150,6 +150,6 @@ fn main() {
     );
     println!(
         "PACT working set beyond the factor:               {}",
-        format_mb(red.stats.modelled_memory_bytes - red.stats.chol_memory_bytes)
+        format_mb((c.modelled_memory_bytes - c.chol_memory_bytes) as usize)
     );
 }

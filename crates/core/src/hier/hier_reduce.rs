@@ -13,7 +13,7 @@ use crate::cutoff::CutoffSpec;
 use crate::hier::leaf::{prepare_leaf, reduce_prepared_leaf, PreparedLeaf};
 use crate::hier::partition_tree::PartitionTree;
 use crate::hier::stitch::stitch;
-use crate::reduce::{ReduceError, ReduceStrategy, Reduction, ReductionStats};
+use crate::reduce::{ReduceError, ReduceStrategy, Reduction};
 use crate::session::{CacheEntry, ReductionSession};
 use crate::telemetry::{Telemetry, Warning};
 
@@ -80,7 +80,6 @@ pub(crate) fn reduce_network_hier(
     max_block: usize,
     max_depth: usize,
 ) -> Result<Reduction, ReduceError> {
-    let start = Instant::now();
     let opts = session.options().clone();
     let m = network.num_ports;
     let n_int = network.num_internal();
@@ -217,9 +216,6 @@ pub(crate) fn reduce_network_hier(
 
     let mut models = Vec::with_capacity(tree.leaves.len());
     let mut leaf_poles = 0u64;
-    let mut chol_nnz = 0usize;
-    let mut chol_memory = 0usize;
-    let mut modelled_memory = 0usize;
     for ((leaf, prep), outcome) in tree.leaves.iter().zip(&prepared).zip(outcomes) {
         let o = outcome?; // first failing leaf (in tree order) aborts
         for w in &prep.warnings {
@@ -254,9 +250,6 @@ pub(crate) fn reduce_network_hier(
         lc.poles_retained = 0;
         lc.poles_dropped = 0;
         tel.counters.add(&lc);
-        chol_nnz += o.stats.chol_nnz;
-        chol_memory += o.stats.chol_memory_bytes;
-        modelled_memory = modelled_memory.max(o.stats.modelled_memory_bytes);
         models.push(o.model);
     }
 
@@ -329,20 +322,8 @@ pub(crate) fn reduce_network_hier(
     c.hier_portless_blocks_dropped = tree.portless_dropped as u64;
     c.hier_tree_depth = tree.depth as u64;
 
-    let stats = ReductionStats {
-        num_ports: m,
-        num_internal: n_int,
-        poles_retained: poles,
-        elapsed_seconds: start.elapsed().as_secs_f64(),
-        chol_nnz: chol_nnz + top.stats.chol_nnz,
-        chol_memory_bytes: chol_memory + top.stats.chol_memory_bytes,
-        modelled_memory_bytes: modelled_memory.max(top.stats.modelled_memory_bytes),
-        lanczos: top.stats.lanczos,
-    };
-
     Ok(Reduction {
         model: top.model,
-        stats,
         telemetry: tel,
     })
 }

@@ -157,7 +157,6 @@ pub(crate) fn reduce_prepared_leaf(
     user_cutoff: &CutoffSpec,
     cache: &mut SymbolicCache,
 ) -> Result<Reduction, ReduceError> {
-    let start = Instant::now();
     let mut tel = Telemetry::new();
     tel.record_phase("partition", prep.partition_seconds);
     let ctx = ParCtx::serial();
@@ -271,7 +270,6 @@ pub(crate) fn reduce_prepared_leaf(
         + 4 * parts.n * 8; // solver workspace
     Ok(finish_reduction(
         tel,
-        start,
         model,
         parts.n,
         t1.chol.l_nnz(),

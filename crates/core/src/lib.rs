@@ -76,18 +76,14 @@ pub use backend::{
 };
 pub use cutoff::{CutoffError, CutoffSpec};
 pub use error::PactError;
-pub use extract::{
-    collapse_chains, reduce_embedded, ChainCollapse, ChainCollapseSpec, EmbeddedReduction,
-    ExtractOptions,
-};
+pub use extract::{collapse_chains, ChainCollapse, ChainCollapseSpec};
 pub use lru::LruCache;
 pub use matrix_free::{reduce_matrix_free, DSolver, PcgSolver};
 pub use model::ReducedModel;
 pub use pact_sparse::CholKernel;
 pub use partition::Partitions;
 pub use reduce::{
-    reduce, reduce_network, reduce_network_components, ComponentReduction, ReduceError,
-    ReduceOptions, ReduceStrategy, Reduction, ReductionStats,
+    reduce_network, ComponentReduction, ReduceError, ReduceOptions, ReduceStrategy, Reduction,
 };
 pub use sanitize::{sanitize_network, SanitizeReport};
 pub use session::ReductionSession;
@@ -266,10 +262,11 @@ mod tests {
         opts.ordering = Ordering::MinDegree;
         let b = reduce_network(&net, &opts).unwrap();
         assert_eq!(a.model.num_poles(), b.model.num_poles());
-        assert!(a.stats.chol_nnz > 0);
-        assert!(a.stats.modelled_memory_bytes > 0);
-        assert!(a.stats.elapsed_seconds >= 0.0);
-        assert_eq!(a.stats.num_internal, net.num_internal());
+        let c = &a.telemetry.counters;
+        assert!(c.chol_nnz > 0);
+        assert!(c.chol_memory_bytes > 0);
+        assert!(c.modelled_memory_bytes > c.chol_memory_bytes);
+        assert_eq!(c.num_internal, net.num_internal() as u64);
     }
 
     #[test]
@@ -313,7 +310,9 @@ mod tests {
         let net = extract_rc(&parse(&deck).unwrap(), &[]).unwrap().network;
         let opts = ReduceOptions::new(CutoffSpec::new(3e9, 0.05).unwrap());
         let whole = reduce_network(&net, &opts).unwrap();
-        let comps = reduce_network_components(&net, &opts).unwrap();
+        let comps = ReductionSession::new(opts)
+            .reduce_network_components(&net)
+            .unwrap();
         assert_eq!(comps.reductions.len(), 2);
         assert_eq!(comps.floating_dropped, 0);
         assert_eq!(comps.num_poles(), whole.model.num_poles());

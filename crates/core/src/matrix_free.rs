@@ -86,7 +86,8 @@ impl DSolver for PcgSolver {
     }
 }
 
-/// Matrix-free PACT reduction: same contract as [`crate::reduce`], but
+/// Matrix-free PACT reduction: same contract as
+/// [`ReductionSession::reduce`](crate::ReductionSession::reduce), but
 /// every interaction with `D` goes through `solver` and the pole
 /// analysis runs on the `(E, D)` pencil in the D-inner product.
 ///
@@ -122,7 +123,6 @@ impl ReductionSession {
         spec: &CutoffSpec,
         solver: &impl DSolver,
     ) -> Result<Reduction, ReduceError> {
-        let start = Instant::now();
         let mut tel = Telemetry::new();
         let m = parts.m;
         let n = parts.n;
@@ -194,7 +194,6 @@ impl ReductionSession {
         };
         Ok(finish_reduction(
             tel,
-            start,
             model,
             n,
             0,

@@ -1,17 +1,17 @@
 //! The top-level PACT reduction driver.
 //!
-//! `reduce` chains the two congruence transforms: Cholesky-based
+//! A reduction chains the two congruence transforms: Cholesky-based
 //! conversion of the internal blocks (Section 3.1), then pole analysis of
 //! `E'` (Section 3.2) keeping only eigenvalues above `λ_c`, and packages
-//! the result as a [`ReducedModel`] plus work statistics.
+//! the result as a [`ReducedModel`] plus its telemetry.
 //!
-//! The free functions here are one-shot conveniences over
+//! [`reduce_network`] is the one-shot convenience over
 //! [`crate::ReductionSession`], which additionally caches symbolic
 //! analyses and scratch across calls — use a session when reducing many
 //! decks.
 
-use pact_lanczos::{LanczosError, LanczosStats};
-use pact_netlist::{RcNetwork, Stamped};
+use pact_lanczos::LanczosError;
+use pact_netlist::RcNetwork;
 use pact_sparse::{CholKernel, EigenError, FactorError, Ordering};
 
 use crate::backend::EigenSelect;
@@ -99,29 +99,6 @@ impl ReduceOptions {
     }
 }
 
-/// Work/footprint statistics for one reduction, feeding the paper's
-/// tables (reduction time, memory) and the Section-4 complexity study.
-#[derive(Clone, Debug, Default)]
-pub struct ReductionStats {
-    /// Ports `m`.
-    pub num_ports: usize,
-    /// Internal nodes `n` before reduction.
-    pub num_internal: usize,
-    /// Poles retained (internal nodes after reduction).
-    pub poles_retained: usize,
-    /// Wall-clock seconds for the whole reduction.
-    pub elapsed_seconds: f64,
-    /// Nonzeros in the Cholesky factor of `D`.
-    pub chol_nnz: usize,
-    /// Modelled bytes for the Cholesky factor (the paper's dominant term).
-    pub chol_memory_bytes: usize,
-    /// Modelled peak bytes for the whole reduction: factor + dense port
-    /// blocks + Lanczos working set.
-    pub modelled_memory_bytes: usize,
-    /// Lanczos work counters when the Lanczos backend ran.
-    pub lanczos: Option<LanczosStats>,
-}
-
 /// Error from a reduction.
 #[derive(Clone, Debug)]
 pub enum ReduceError {
@@ -171,34 +148,16 @@ impl From<pact_netlist::NetworkError> for ReduceError {
     }
 }
 
-/// A completed reduction: the passive reduced model and its statistics.
+/// A completed reduction: the passive reduced model and its telemetry.
 #[derive(Clone, Debug)]
 pub struct Reduction {
     /// The reduced-order model.
     pub model: ReducedModel,
-    /// Work statistics.
-    pub stats: ReductionStats,
     /// Structured telemetry: per-phase wall times, deterministic
-    /// counters, warnings (pivot perturbations etc.), and the eigen
-    /// backend chosen per block.
+    /// counters (sizes, factor fill, modelled memory, Lanczos work),
+    /// warnings (pivot perturbations etc.), and the eigen backend chosen
+    /// per block.
     pub telemetry: Telemetry,
-}
-
-/// Reduces stamped network matrices with PACT.
-///
-/// `port_names` labels the leading `stamped.num_ports` rows and is carried
-/// into the model for netlist output. One-shot convenience over
-/// [`ReductionSession::reduce`].
-///
-/// # Errors
-///
-/// See [`ReduceError`].
-pub fn reduce(
-    stamped: &Stamped,
-    port_names: &[String],
-    opts: &ReduceOptions,
-) -> Result<Reduction, ReduceError> {
-    ReductionSession::new(opts.clone()).reduce(stamped, port_names)
 }
 
 /// Convenience wrapper: stamps an [`RcNetwork`] and reduces it with the
@@ -206,8 +165,9 @@ pub fn reduce(
 /// divide-and-conquer for [`ReduceStrategy::Hierarchical`]).
 ///
 /// Warnings in the returned telemetry carry real node names (the
-/// stamped-matrix entry point [`reduce`] can only attribute by index).
-/// One-shot convenience over [`ReductionSession::reduce_network`].
+/// stamped-matrix entry point [`ReductionSession::reduce`] can only
+/// attribute by index). One-shot convenience over
+/// [`ReductionSession::reduce_network`].
 ///
 /// # Errors
 ///
@@ -216,7 +176,8 @@ pub fn reduce_network(network: &RcNetwork, opts: &ReduceOptions) -> Result<Reduc
     ReductionSession::new(opts.clone()).reduce_network(network)
 }
 
-/// Result of a per-component reduction ([`reduce_network_components`]).
+/// Result of a per-component reduction
+/// ([`ReductionSession::reduce_network_components`]).
 #[derive(Clone, Debug)]
 pub struct ComponentReduction {
     /// One reduction per connected component that has port nodes.
@@ -267,24 +228,6 @@ impl ComponentReduction {
         tel.counters.floating_islands_dropped = self.floating_dropped as u64;
         tel
     }
-}
-
-/// Reduces each connected component of the network independently.
-///
-/// Real layouts contain many electrically independent nets (the paper's
-/// multiplier parasitics are hundreds of separate RC trees); reducing
-/// them per component keeps each eigenproblem small and drops floating
-/// RC islands that no port can observe. One-shot convenience over
-/// [`ReductionSession::reduce_network_components`].
-///
-/// # Errors
-///
-/// See [`ReduceError`]; the first failing component aborts.
-pub fn reduce_network_components(
-    network: &RcNetwork,
-    opts: &ReduceOptions,
-) -> Result<ComponentReduction, ReduceError> {
-    ReductionSession::new(opts.clone()).reduce_network_components(network)
 }
 
 /// Rewrites a component-local factorization failure index into the parent

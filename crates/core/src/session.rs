@@ -7,8 +7,8 @@
 //! only needs to happen once. [`ReductionSession`] owns a
 //! pattern-keyed cache of [`SymbolicCholesky`] analyses and a pool of
 //! scratch buffers; every reduction path (flat, hierarchical per-leaf,
-//! matrix-free) runs through it. A one-shot [`crate::reduce`] call is
-//! just a throwaway session.
+//! matrix-free) runs through it. A one-shot [`crate::reduce_network`]
+//! call is just a throwaway session.
 //!
 //! Determinism contract: a cache hit replays the cached permutation and
 //! fill pattern through [`SymbolicCholesky::refactor`], which is
@@ -33,7 +33,6 @@ use crate::model::ReducedModel;
 use crate::partition::Partitions;
 use crate::reduce::{
     remap_factor_index, ComponentReduction, ReduceError, ReduceOptions, ReduceStrategy, Reduction,
-    ReductionStats,
 };
 use crate::telemetry::{Telemetry, Warning};
 use crate::transform::Transform1;
@@ -239,7 +238,9 @@ impl ReductionSession {
         self.cache.extend(entries);
     }
 
-    /// Reduces stamped network matrices (see [`crate::reduce`]).
+    /// Reduces stamped network matrices. `port_names` labels the
+    /// leading `stamped.num_ports` rows and is carried into the model for
+    /// netlist output; warnings can only name internal nodes by index.
     ///
     /// # Errors
     ///
@@ -282,8 +283,13 @@ impl ReductionSession {
             .collect()
     }
 
-    /// Reduces each connected component independently (see
-    /// [`crate::reduce_network_components`]).
+    /// Reduces each connected component independently.
+    ///
+    /// Real layouts contain many electrically independent nets (the
+    /// paper's multiplier parasitics are hundreds of separate RC trees);
+    /// reducing them per component keeps each eigenproblem small and
+    /// drops floating RC islands that no port can observe (counted as
+    /// `floating_islands_dropped`).
     ///
     /// # Errors
     ///
@@ -347,7 +353,6 @@ impl ReductionSession {
         internal_name: &dyn Fn(usize) -> String,
         scope: &str,
     ) -> Result<Reduction, ReduceError> {
-        let start = Instant::now();
         let mut tel = Telemetry::new();
         let ctx = ParCtx::new(self.opts.threads);
         let parts = tel.time("partition", || Partitions::split(stamped));
@@ -419,7 +424,6 @@ impl ReductionSession {
             + 4 * parts.n * 8; // solver workspace
         Ok(finish_reduction(
             tel,
-            start,
             model,
             parts.n,
             t1.chol.l_nnz(),
@@ -450,13 +454,11 @@ impl ReductionSession {
     }
 }
 
-/// Packages a finished reduction: statistics plus the shared counter
-/// block (sizes, pole counts, Lanczos work) every path reports the same
-/// way.
-#[allow(clippy::too_many_arguments)]
+/// Packages a finished reduction: the shared counter block (sizes,
+/// pole counts, factor fill, modelled memory, Lanczos work) every path
+/// reports the same way.
 pub(crate) fn finish_reduction(
     mut tel: Telemetry,
-    start: Instant,
     model: ReducedModel,
     num_internal: usize,
     chol_nnz: usize,
@@ -466,17 +468,6 @@ pub(crate) fn finish_reduction(
 ) -> Reduction {
     let m = model.port_names.len();
     let k = model.lambdas.len();
-    let stats = ReductionStats {
-        num_ports: m,
-        num_internal,
-        poles_retained: k,
-        elapsed_seconds: start.elapsed().as_secs_f64(),
-        chol_nnz,
-        chol_memory_bytes,
-        modelled_memory_bytes,
-        lanczos,
-    };
-
     let c = &mut tel.counters;
     c.num_ports = m as u64;
     c.num_internal = num_internal as u64;
@@ -484,16 +475,16 @@ pub(crate) fn finish_reduction(
     c.poles_dropped = num_internal.saturating_sub(k) as u64;
     c.peak_matrix_dim = (m + num_internal) as u64;
     c.chol_nnz = chol_nnz as u64;
-    if let Some(ls) = &stats.lanczos {
+    c.chol_memory_bytes = chol_memory_bytes as u64;
+    c.modelled_memory_bytes = modelled_memory_bytes as u64;
+    if let Some(ls) = &lanczos {
         c.lanczos_iterations = ls.iterations as u64;
         c.lanczos_matvecs = ls.matvecs as u64;
         c.lanczos_restarts = ls.restarts as u64;
         c.lanczos_reorthogonalizations = ls.orthogonalizations as u64;
     }
-
     Reduction {
         model,
-        stats,
         telemetry: tel,
     }
 }

@@ -44,6 +44,12 @@ pub struct Counters {
     pub peak_matrix_dim: u64,
     /// Nonzeros in the Cholesky factor `L` of `D`.
     pub chol_nnz: u64,
+    /// Modelled bytes of the Cholesky factor (the paper's dominant
+    /// memory term); sums over every factor the reduction built.
+    pub chol_memory_bytes: u64,
+    /// Modelled peak bytes of one reduction: factor, dense port blocks
+    /// and the moment or eigen working set (peak; takes max).
+    pub modelled_memory_bytes: u64,
     /// Supernode panels in the Cholesky factor of `D` (0 when the scalar
     /// kernel is selected).
     pub supernode_count: u64,
@@ -108,8 +114,10 @@ pub struct Counters {
     /// Internal nodes eliminated by the chain-collapse pre-pass (chain
     /// interior nodes removed minus re-segmentation nodes added).
     pub nodes_eliminated: u64,
-    /// Ported RC subnetworks independently reduced by the embedded
-    /// extraction pass (`pact::extract::reduce_embedded`).
+    /// Ported RC subnetworks independently reduced under the deck
+    /// pipeline's `extract` option (`rcfit --extract`, the `rcfitd`
+    /// `"extract"` key); 0 when a deck with no ported RC subnetwork
+    /// passed through unchanged.
     pub extract_subnets: u64,
     /// Fresh full sparse-LU factorizations (symbolic + numeric) across
     /// sweep phases (e.g. the `--verify` exact-admittance grid).
@@ -120,8 +128,9 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// Field-wise accumulation, except `peak_matrix_dim` which takes the
-    /// max (it is a peak, not a total).
+    /// Field-wise accumulation, except the peaks (`peak_matrix_dim`,
+    /// `modelled_memory_bytes`, `max_panel_cols` and the `hier_max_*`/
+    /// `hier_tree_depth` fields), which take the max.
     pub fn add(&mut self, other: &Counters) {
         self.num_ports += other.num_ports;
         self.num_internal += other.num_internal;
@@ -129,6 +138,8 @@ impl Counters {
         self.poles_dropped += other.poles_dropped;
         self.peak_matrix_dim = self.peak_matrix_dim.max(other.peak_matrix_dim);
         self.chol_nnz += other.chol_nnz;
+        self.chol_memory_bytes += other.chol_memory_bytes;
+        self.modelled_memory_bytes = self.modelled_memory_bytes.max(other.modelled_memory_bytes);
         self.supernode_count += other.supernode_count;
         self.max_panel_cols = self.max_panel_cols.max(other.max_panel_cols);
         self.panel_flops += other.panel_flops;
@@ -173,6 +184,8 @@ impl Counters {
             ("poles_dropped", self.poles_dropped),
             ("peak_matrix_dim", self.peak_matrix_dim),
             ("chol_nnz", self.chol_nnz),
+            ("chol_memory_bytes", self.chol_memory_bytes),
+            ("modelled_memory_bytes", self.modelled_memory_bytes),
             ("supernode_count", self.supernode_count),
             ("max_panel_cols", self.max_panel_cols),
             ("panel_flops", self.panel_flops),
@@ -556,17 +569,23 @@ mod tests {
         a.record_phase("factor", 1.0);
         a.counters.poles_retained = 3;
         a.counters.peak_matrix_dim = 10;
+        a.counters.chol_memory_bytes = 100;
+        a.counters.modelled_memory_bytes = 700;
         let mut b = Telemetry::new();
         b.record_phase("factor", 2.0);
         b.record_phase("eigen", 4.0);
         b.counters.poles_retained = 2;
         b.counters.peak_matrix_dim = 50;
+        b.counters.chol_memory_bytes = 200;
+        b.counters.modelled_memory_bytes = 300;
         b.warn(Warning::DisconnectedPort { node: "p3".into() });
         a.absorb(&b);
         assert_eq!(a.phases[0].seconds, 3.0);
         assert_eq!(a.phases[1].name, "eigen");
         assert_eq!(a.counters.poles_retained, 5);
         assert_eq!(a.counters.peak_matrix_dim, 50, "peaks take max, not sum");
+        assert_eq!(a.counters.chol_memory_bytes, 300, "factors add up");
+        assert_eq!(a.counters.modelled_memory_bytes, 700, "the peak is a max");
         assert_eq!(a.warnings.len(), 1);
     }
 

@@ -8,8 +8,14 @@
 //! construction: both front ends call [`prepare_deck`],
 //! [`reduce_prepared`] and [`render_reduced`] in that order, and neither
 //! owns any numeric decision of its own. Option resolution (including
-//! the `--hier` alias and the pivot-relief default) lives here for the
-//! same reason.
+//! the strategy and the pivot-relief default) lives here for the same
+//! reason.
+//!
+//! The same three calls are the library entry point of the
+//! embedded-parasitics flow (`extract`): a mixed deck's maximal ported
+//! RC subnetworks are reduced one by one and spliced back among the
+//! deck's other devices. Under `extract`, a deck with no ported RC
+//! subnetwork passes through unchanged.
 
 use pact::{
     collapse_chains, sanitize_network, ChainCollapseSpec, CholKernel, ComponentReduction,
@@ -17,7 +23,7 @@ use pact::{
     Telemetry, Warning,
 };
 use pact_lanczos::LanczosConfig;
-use pact_netlist::{extract_rc, parse, splice_reduced, Element, Netlist, RcNetwork};
+use pact_netlist::{extract_rc, parse, splice_reduced, Element, Netlist, NetworkError, RcNetwork};
 use pact_sparse::Ordering;
 
 /// Default relative pivot-relief floor for quasi-singular `D` diagonals;
@@ -125,20 +131,19 @@ pub struct DeckOptions {
     pub components: bool,
     /// Fail on quasi-singular pivots instead of perturbing them.
     pub strict_pivots: bool,
-    /// Reduce via nested-dissection blocks.
-    pub hier: bool,
     /// `--block-size`: max internal nodes per hierarchical leaf.
     pub block_size: usize,
     /// `--max-depth`: dissection recursion budget.
     pub max_depth: usize,
     /// Explicit execution-strategy choice, if any (`--strategy` /
-    /// `"strategy"`). `None` keeps the historical resolution: `hier`
-    /// when the `--hier` alias is set, flat otherwise.
+    /// `"strategy"`); `None` is flat.
     pub strategy: Option<StrategyArg>,
     /// Reduce each maximal ported RC subnetwork independently
     /// (`--extract` / `"extract"`): the embedded-parasitics flow, where
     /// every RC island with its own boundary ports gets its own reduced
     /// realization and the `extract_subnets` counter reports how many.
+    /// A deck with no ported RC subnetwork passes through unchanged
+    /// instead of failing with `NetworkError::NoPorts`.
     pub extract: bool,
     /// Run the degree-2 series-chain collapse pre-pass on the sanitized
     /// network before reduction (`--collapse-chains` /
@@ -161,7 +166,6 @@ impl Default for DeckOptions {
             eigen: None,
             components: false,
             strict_pivots: false,
-            hier: false,
             block_size: DEFAULT_BLOCK_SIZE,
             max_depth: DEFAULT_MAX_DEPTH,
             strategy: None,
@@ -209,21 +213,15 @@ impl DeckOptions {
         })
     }
 
-    /// Resolves the execution strategy: an explicit `strategy` wins,
-    /// the bare `--hier` alias keeps its historical meaning, and the
-    /// default is flat.
+    /// Resolves the execution strategy: hierarchical with the
+    /// `block_size`/`max_depth` budget when asked for, flat otherwise.
     pub fn reduce_strategy(&self) -> ReduceStrategy {
         match self.strategy {
             Some(StrategyArg::Hier) => ReduceStrategy::Hierarchical {
                 max_block: self.block_size,
                 max_depth: self.max_depth,
             },
-            Some(StrategyArg::Flat) => ReduceStrategy::Flat,
-            None if self.hier => ReduceStrategy::Hierarchical {
-                max_block: self.block_size,
-                max_depth: self.max_depth,
-            },
-            None => ReduceStrategy::Flat,
+            Some(StrategyArg::Flat) | None => ReduceStrategy::Flat,
         }
     }
 
@@ -308,6 +306,11 @@ impl PreparedDeck {
 /// the `chains_collapsed`/`nodes_eliminated` counters land in the
 /// prepared telemetry.
 ///
+/// Under `opts.extract`, a deck with no ported RC subnetwork (no RC
+/// elements, or none touching a non-RC device or an extra port) yields
+/// an empty network; [`render_reduced`] then returns the flattened deck
+/// unchanged. Without `extract` that deck is a `network` error.
+///
 /// # Errors
 ///
 /// Any [`PactError`] with the usual typed codes (`parse`, `flatten`,
@@ -315,13 +318,47 @@ impl PreparedDeck {
 pub fn prepare_deck(text: &str, opts: &DeckOptions) -> Result<PreparedDeck, PactError> {
     let mut tel = Telemetry::new();
     let deck = tel.time("parse", || parse(text))?;
+    prepare(&deck, opts, tel)
+}
+
+/// [`prepare_deck`] on an already-parsed deck: for callers that build
+/// their [`Netlist`] in memory, where a round trip through SPICE text
+/// would quantize element values.
+///
+/// # Errors
+///
+/// As [`prepare_deck`], less the `parse` failures.
+pub fn prepare_netlist(deck: &Netlist, opts: &DeckOptions) -> Result<PreparedDeck, PactError> {
+    prepare(deck, opts, Telemetry::new())
+}
+
+fn prepare(
+    deck: &Netlist,
+    opts: &DeckOptions,
+    mut tel: Telemetry,
+) -> Result<PreparedDeck, PactError> {
     let deck = tel.time("flatten", || deck.flatten())?;
     for (name, count) in deck.duplicate_element_names() {
         tel.counters.duplicate_element_names += 1;
         tel.warn(Warning::DuplicateElementName { name, count });
     }
     let port_refs: Vec<&str> = opts.extra_ports.iter().map(String::as_str).collect();
-    let ex = tel.time("extract", || extract_rc(&deck, &port_refs))?;
+    let ex = match tel.time("extract", || extract_rc(&deck, &port_refs)) {
+        Ok(ex) => ex,
+        Err(NetworkError::NoPorts) if opts.extract => {
+            return Ok(PreparedDeck {
+                deck,
+                network: RcNetwork::default(),
+                raw_ports: 0,
+                raw_internal: 0,
+                raw_resistors: 0,
+                raw_capacitors: 0,
+                sanitize_warnings: Vec::new(),
+                telemetry: tel,
+            });
+        }
+        Err(e) => return Err(e.into()),
+    };
     let raw_ports = ex.network.num_ports;
     let raw_internal = ex.network.num_internal();
     let raw_resistors = ex.network.resistors.len();
@@ -444,7 +481,9 @@ pub fn reduce_prepared(
 /// Realizes the reduced model as SPICE elements, splices them into the
 /// original deck and renders the result. Returns the rendered deck text
 /// and the number of realized elements; the `emit` phase is recorded on
-/// `tel`.
+/// `tel`. A deck that [`prepare_deck`] passed through (no ported RC
+/// subnetwork under `extract`) renders as the flattened input, with no
+/// realized elements.
 pub fn render_reduced(
     prep: &PreparedDeck,
     reduced: &ReducedDeck,
@@ -452,6 +491,9 @@ pub fn render_reduced(
     sparsify: f64,
     tel: &mut Telemetry,
 ) -> (String, usize) {
+    if prep.network.num_ports == 0 {
+        return (tel.time("emit", || prep.deck.to_string()), 0);
+    }
     let elements = reduced.to_netlist_elements(prefix, sparsify);
     let count = elements.len();
     let rendered = tel.time("emit", || splice_reduced(&prep.deck, elements).to_string());
@@ -606,6 +648,123 @@ mod tests {
         assert_eq!(red.telemetry().counters.extract_subnets, 0);
     }
 
+    /// Runs the whole pipeline on `text` with a fresh session; returns
+    /// the prepared deck, the reduction, the merged telemetry and the
+    /// rendered deck (prefix `pact`, nothing sparsified).
+    fn run_pipeline(
+        text: &str,
+        opts: &DeckOptions,
+    ) -> (PreparedDeck, ReducedDeck, Telemetry, String) {
+        let prep = prepare_deck(text, opts).unwrap();
+        let mut session = ReductionSession::new(opts.reduce_options().unwrap());
+        let red = reduce_prepared(&prep, &mut session, opts).unwrap();
+        let mut tel = prep.telemetry.clone();
+        tel.absorb(&red.telemetry());
+        let (out, _) = render_reduced(&prep, &red, "pact", 0.0, &mut tel);
+        (prep, red, tel, out)
+    }
+
+    /// A driven two-port RC line of `nseg` segments embedded between a
+    /// source and a MOSFET gate.
+    fn mixed_line_deck(nseg: usize, r: f64, c: &str) -> String {
+        let mut deck = String::from("* mix\nV1 p0 0 1\nM1 q pN 0 0 n\n.model n nmos()\n");
+        for i in 0..nseg {
+            let a = if i == 0 { "p0".into() } else { format!("n{i}") };
+            let b = if i == nseg - 1 {
+                "pN".into()
+            } else {
+                format!("n{}", i + 1)
+            };
+            deck.push_str(&format!("R{i} {a} {b} {r}\nC{i} {b} 0 {c}\n"));
+        }
+        deck.push_str(".end\n");
+        deck
+    }
+
+    #[test]
+    fn extract_restitches_mixed_deck() {
+        let nseg = 60;
+        let opts = DeckOptions {
+            f_max: 3e9,
+            extract: true,
+            ..DeckOptions::default()
+        };
+        let (prep, red, tel, text) = run_pipeline(&mixed_line_deck(nseg, 5.0, "20f"), &opts);
+        match &red {
+            ReducedDeck::Components { reduction, .. } => assert_eq!(reduction.reductions.len(), 1),
+            ReducedDeck::Whole(_) => panic!("extract must split per subnetwork"),
+        }
+        assert_eq!(tel.counters.extract_subnets, 1);
+        assert_eq!(prep.raw_internal, nseg - 1);
+        assert!(red.num_poles() < prep.raw_internal);
+        // Non-RC devices and cards survive; original RC elements do not.
+        let out = parse(&text).unwrap();
+        assert!(out.elements.iter().any(|e| e.name == "V1"));
+        assert!(out.elements.iter().any(|e| e.name == "M1"));
+        assert!(out.elements.iter().all(|e| e.name != "R0"));
+        assert_eq!(out.models.len(), 1);
+        // The spliced deck carries exactly one fresh internal node per
+        // retained pole (the realization may contain negative coupling
+        // capacitors, so it is simulated, never re-extracted).
+        let mut fresh: Vec<String> = out
+            .elements
+            .iter()
+            .flat_map(|e| e.nodes())
+            .filter(|n| n.starts_with("pact0_p"))
+            .collect();
+        fresh.sort();
+        fresh.dedup();
+        assert_eq!(fresh.len(), red.num_poles());
+    }
+
+    #[test]
+    fn extract_chain_collapse_feeds_the_reducer() {
+        let opts = DeckOptions {
+            extract: true,
+            collapse_chains: true,
+            chain_tol: 1e-4,
+            ..DeckOptions::default()
+        };
+        let (_, red, tel, _) = run_pipeline(&mixed_line_deck(300, 1.0, "5f"), &opts);
+        assert_eq!(tel.counters.chains_collapsed, 1);
+        assert!(tel.counters.nodes_eliminated > 0);
+        assert_eq!(red.telemetry().counters.extract_subnets, 1);
+        // The collapse counters survive into the deterministic JSON.
+        let s = tel.counters_json_string();
+        assert!(s.contains("\"chains_collapsed\":1"), "{s}");
+    }
+
+    #[test]
+    fn deck_without_reducible_rc_passes_through() {
+        let extract = DeckOptions {
+            extract: true,
+            ..DeckOptions::default()
+        };
+        // No RC elements at all.
+        let deck = "* d\nV1 a 0 1\nM1 b a 0 0 n\n.model n nmos()\n.end\n";
+        let (prep, red, tel, text) = run_pipeline(deck, &extract);
+        assert_eq!(red.num_poles(), 0, "nothing reduced");
+        assert_eq!(prep.raw_internal, 0);
+        assert_eq!(tel.counters.extract_subnets, 0);
+        // Unchanged: the input deck, rendered.
+        assert_eq!(text, parse(deck).unwrap().to_string(), "deck unchanged");
+        assert_eq!(parse(&text).unwrap().elements.len(), 2);
+
+        // RC island never touching a non-RC device: also pass-through.
+        let island = "* f\nR1 a b 100\nC1 b 0 1p\n.end\n";
+        let (_, red, _, text) = run_pipeline(island, &extract);
+        assert_eq!(red.num_poles(), 0);
+        assert!(parse(&text)
+            .unwrap()
+            .elements
+            .iter()
+            .any(|e| e.name == "R1"));
+
+        // Without `extract` the same deck stays a typed error.
+        let e = prepare_deck(deck, &DeckOptions::default()).unwrap_err();
+        assert_eq!(e.code(), "network");
+    }
+
     #[test]
     fn session_key_tracks_numeric_options_only() {
         let a = DeckOptions::default();
@@ -625,7 +784,7 @@ mod tests {
         };
         assert_ne!(a.session_key(), c.session_key());
         let d = DeckOptions {
-            hier: true,
+            strategy: Some(StrategyArg::Hier),
             ..DeckOptions::default()
         };
         assert_ne!(a.session_key(), d.session_key());
@@ -652,16 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_strategy_overrides_the_hier_alias() {
-        let o = DeckOptions {
-            hier: true,
-            strategy: Some(StrategyArg::Flat),
-            ..DeckOptions::default()
-        };
-        assert!(matches!(o.reduce_strategy(), ReduceStrategy::Flat));
-    }
-
-    #[test]
     fn session_key_tracks_strategy() {
         let a = DeckOptions::default();
         let explicit_flat = DeckOptions {
@@ -669,18 +818,19 @@ mod tests {
             ..DeckOptions::default()
         };
         assert_eq!(a.session_key(), explicit_flat.session_key());
-        let hier_alias = DeckOptions {
-            hier: true,
-            ..DeckOptions::default()
-        };
-        let hier_explicit = DeckOptions {
+        let hier = DeckOptions {
             strategy: Some(StrategyArg::Hier),
             ..DeckOptions::default()
         };
-        assert_eq!(
-            hier_alias.session_key(),
-            hier_explicit.session_key(),
-            "alias and explicit spelling resolve to the same session"
+        assert_ne!(a.session_key(), hier.session_key());
+        let coarser = DeckOptions {
+            block_size: 4 * DEFAULT_BLOCK_SIZE,
+            ..hier.clone()
+        };
+        assert_ne!(
+            hier.session_key(),
+            coarser.session_key(),
+            "the hier block budget is part of the session"
         );
     }
 

@@ -10,8 +10,8 @@
 //!   server-side. Exactly one of the two for `reduce`.
 //! - `options` — an object mirroring the `rcfit` flags (`fmax`, `tol`,
 //!   `sparsify`, `ports`, `threads`, `eigen`, `components`,
-//!   `strict_pivots`, `hier`, `block_size`, `max_depth`, `strategy`,
-//!   `extract`, `collapse_chains`, `chain_tol`).
+//!   `strict_pivots`, `block_size`, `max_depth`, `strategy`, `extract`,
+//!   `collapse_chains`, `chain_tol`).
 //!
 //! Unknown request fields and unknown option keys are *rejected* (code
 //! `unknown_option`) rather than ignored: a silently dropped option
@@ -168,7 +168,6 @@ fn apply_option(
         }
         "components" => opts.components = as_bool(v, "components", id)?,
         "strict_pivots" => opts.strict_pivots = as_bool(v, "strict_pivots", id)?,
-        "hier" => opts.hier = as_bool(v, "hier", id)?,
         "block_size" => opts.block_size = as_positive_int(v, "block_size", id)?,
         "max_depth" => opts.max_depth = as_positive_int(v, "max_depth", id)?,
         "strategy" => {
@@ -280,27 +279,13 @@ pub fn parse_request(line: &str, max_deck_bytes: usize) -> Result<Request, Proto
             }
         }
     }
-    // Cross-field validation. The CLI resolves `--hier` + `--strategy`
-    // by letting the explicit strategy win; the protocol rejects the
-    // combination outright so a caller can never be surprised by the
-    // resolution order.
+    // Cross-field validation.
     if chain_tol_given && !options.collapse_chains {
         return Err(ProtocolError::new(
             &id,
             "bad_request",
             "`chain_tol` requires `\"collapse_chains\":true`",
         ));
-    }
-    if options.hier {
-        if let Some(s) = options.strategy {
-            if s != StrategyArg::Hier {
-                return Err(ProtocolError::new(
-                    &id,
-                    "bad_request",
-                    format!("`hier` conflicts with `\"strategy\":\"{}\"`", s.name()),
-                ));
-            }
-        }
     }
 
     let source = match (doc.get("deck"), doc.get("path")) {
@@ -413,13 +398,13 @@ mod tests {
 
     #[test]
     fn options_apply_and_fmax_takes_spice_suffixes() {
-        let line = r#"{"id":7,"deck":"x","options":{"fmax":"500meg","tol":0.1,"eigen":"lowrank","hier":true,"block_size":100,"threads":2}}"#;
+        let line = r#"{"id":7,"deck":"x","options":{"fmax":"500meg","tol":0.1,"eigen":"lowrank","strategy":"hier","block_size":100,"threads":2}}"#;
         let r = parse_request(line, DEFAULT_MAX_DECK_BYTES).unwrap();
         assert_eq!(r.id, Value::Num(7.0));
         assert_eq!(r.options.f_max, 5e8);
         assert_eq!(r.options.tolerance, 0.1);
         assert_eq!(r.options.eigen, Some(EigenArg::LowRank));
-        assert!(r.options.hier);
+        assert_eq!(r.options.strategy, Some(StrategyArg::Hier));
         assert_eq!(r.options.block_size, 100);
         assert_eq!(r.options.threads, Some(2));
     }
@@ -478,25 +463,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(e.code, "bad_request");
         assert!(e.message.contains("quadtree"));
-    }
-
-    #[test]
-    fn cross_field_conflicts_are_bad_requests() {
-        let e = parse_request(
-            r#"{"deck":"x","options":{"hier":true,"strategy":"flat"}}"#,
-            DEFAULT_MAX_DECK_BYTES,
-        )
-        .unwrap_err();
-        assert_eq!(e.code, "bad_request");
-        assert!(e.message.contains("conflicts"));
-
-        // `hier` plus the matching explicit spelling is fine.
-        let r = parse_request(
-            r#"{"deck":"x","options":{"hier":true,"strategy":"hier"}}"#,
-            DEFAULT_MAX_DECK_BYTES,
-        )
-        .unwrap();
-        assert_eq!(r.options.strategy, Some(StrategyArg::Hier));
     }
 
     #[test]

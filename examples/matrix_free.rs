@@ -6,6 +6,8 @@
 //!
 //! Run with `cargo run --release --example matrix_free`.
 
+use std::time::Instant;
+
 use pact::{reduce_matrix_free, CutoffSpec, DSolver, Partitions, PcgSolver, ReduceOptions};
 use pact_gen::{substrate_mesh, MeshSpec};
 
@@ -27,21 +29,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ports: Vec<String> = net.node_names[..net.num_ports].to_vec();
 
     // Standard path: factor D, reduce.
+    let start = Instant::now();
     let standard = pact::reduce_network(&net, &ReduceOptions::new(spec))?;
     println!(
         "factored:    {} poles, {:.2} s, factor+work {:.1} MB",
         standard.model.num_poles(),
-        standard.stats.elapsed_seconds,
-        standard.stats.modelled_memory_bytes as f64 / 1e6
+        start.elapsed().as_secs_f64(),
+        standard.telemetry.counters.modelled_memory_bytes as f64 / 1e6
     );
 
     // Matrix-free path: IC(0)-preconditioned CG for every D-solve.
     let solver = PcgSolver::new(&parts.d)?;
+    let start = Instant::now();
     let mf = reduce_matrix_free(&parts, &ports, &spec, &solver)?;
     println!(
         "matrix-free: {} poles, {:.2} s, working set {:.1} MB (IC(0) is zero-fill)",
         mf.model.num_poles(),
-        mf.stats.elapsed_seconds,
+        start.elapsed().as_secs_f64(),
         solver.memory_bytes() as f64 / 1e6
     );
 

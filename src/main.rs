@@ -4,10 +4,10 @@
 //! ```text
 //! rcfit INPUT.sp [INPUT2.sp ...] [-o OUTPUT.sp] [--fmax HZ] [--tol FRACTION]
 //!       [--sparsify TOL] [--port NODE]... [--threads N]
-//!       [--eigen auto|dense|lanczos|lowrank] [--stats]
-//!       [--trace] [--log-json PATH] [--strict-pivots]
-//!       [--hier] [--block-size N] [--max-depth N]
-//!       [--strategy flat|hier]
+//!       [--eigen auto|dense|lanczos|lowrank] [--stats] [--components]
+//!       [--verify] [--trace] [--log-json PATH] [--strict-pivots]
+//!       [--strategy flat|hier] [--block-size N] [--max-depth N]
+//!       [--extract] [--collapse-chains] [--chain-tol TOL]
 //! ```
 //!
 //! Several decks may be given at once; they are reduced through one
@@ -28,37 +28,27 @@
 //! (schema `rcfit-telemetry-v1`, documented in DESIGN.md).
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use pact::{PactError, ReductionSession};
 use pact_netlist::parse_value;
 use pact_serve::{
     prepare_deck, reduce_prepared, render_reduced, DeckOptions, EigenArg, ReducedDeck, StrategyArg,
-    DEFAULT_BLOCK_SIZE, DEFAULT_CHAIN_TOL, DEFAULT_MAX_DEPTH,
 };
 
+/// The parsed command line: the CLI-only flags plus the shared-pipeline
+/// options. Resolution of defaults (strategy, pivot relief, ordering,
+/// dense threshold) lives in [`DeckOptions`], shared verbatim with the
+/// `rcfitd` daemon so both front ends produce bit-identical output.
 #[derive(Debug)]
 struct Args {
     inputs: Vec<String>,
     output: Option<String>,
-    f_max: f64,
-    tolerance: f64,
-    sparsify: f64,
-    extra_ports: Vec<String>,
-    threads: Option<usize>,
-    eigen: Option<EigenArg>,
     stats: bool,
-    components: bool,
     verify: bool,
     trace: bool,
     log_json: Option<String>,
-    strict_pivots: bool,
-    hier: bool,
-    block_size: usize,
-    max_depth: usize,
-    strategy: Option<StrategyArg>,
-    extract: bool,
-    collapse_chains: bool,
-    chain_tol: Option<f64>,
+    deck: DeckOptions,
 }
 
 fn usage() -> &'static str {
@@ -66,7 +56,7 @@ fn usage() -> &'static str {
      [--sparsify TOL] [--port NODE]... [--threads N] \
      [--eigen auto|dense|lanczos|lowrank] [--stats] [--components] \
      [--verify] [--trace] [--log-json PATH] [--strict-pivots] \
-     [--hier] [--block-size N] [--max-depth N] [--strategy flat|hier] \
+     [--strategy flat|hier] [--block-size N] [--max-depth N] \
      [--extract] [--collapse-chains] [--chain-tol TOL]\n\
      defaults: --fmax 1g --tol 0.05 --sparsify 1e-9 --threads <all cores>\n\
      HZ accepts SPICE suffixes (500meg, 3g, ...); the reduced model is\n\
@@ -76,12 +66,12 @@ fn usage() -> &'static str {
      analysis (-o/--log-json then need a single deck).\n\
      --trace prints per-phase timings/counters; --log-json writes them as JSON;\n\
      --strict-pivots fails on quasi-singular pivots instead of perturbing them;\n\
-     --hier reduces via nested-dissection blocks of at most --block-size nodes\n\
-     (default 2000) with --max-depth recursion levels (default 16);\n\
      --strategy picks the reduction algorithm (flat = one-shot PACT, hier =\n\
-     nested dissection);\n\
+     nested-dissection blocks of at most --block-size nodes (default 2000)\n\
+     with --max-depth recursion levels (default 16));\n\
      --extract reduces each maximal ported RC subnetwork independently (the\n\
-     embedded-parasitics flow for mixed decks); --collapse-chains runs the\n\
+     embedded-parasitics flow for mixed decks; a deck with none passes\n\
+     through unchanged); --collapse-chains runs the\n\
      degree-2 series-chain collapse pre-pass before reduction, re-segmenting\n\
      long RC chains within --chain-tol relative in-band error (default 1e-6)"
 }
@@ -90,26 +80,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         inputs: Vec::new(),
         output: None,
-        f_max: 1e9,
-        tolerance: 0.05,
-        sparsify: 1e-9,
-        extra_ports: Vec::new(),
-        threads: None,
-        eigen: None,
         stats: false,
-        components: false,
         verify: false,
         trace: false,
         log_json: None,
-        strict_pivots: false,
-        hier: false,
-        block_size: DEFAULT_BLOCK_SIZE,
-        max_depth: DEFAULT_MAX_DEPTH,
-        strategy: None,
-        extract: false,
-        collapse_chains: false,
-        chain_tol: None,
+        deck: DeckOptions::default(),
     };
+    let mut chain_tol_given = false;
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         let mut next = |flag: &str| {
@@ -120,19 +97,19 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match a.as_str() {
             "-o" | "--output" => args.output = Some(next(a)?),
             "--fmax" => {
-                args.f_max = parse_value(&next(a)?).map_err(|e| e.to_string())?;
+                args.deck.f_max = parse_value(&next(a)?).map_err(|e| e.to_string())?;
             }
             "--tol" => {
-                args.tolerance = next(a)?
+                args.deck.tolerance = next(a)?
                     .parse()
                     .map_err(|_| "--tol needs a number".to_owned())?;
             }
             "--sparsify" => {
-                args.sparsify = next(a)?
+                args.deck.sparsify = next(a)?
                     .parse()
                     .map_err(|_| "--sparsify needs a number".to_owned())?;
             }
-            "--port" => args.extra_ports.push(next(a)?),
+            "--port" => args.deck.extra_ports.push(next(a)?),
             "--threads" => {
                 let n: usize = next(a)?
                     .parse()
@@ -140,16 +117,15 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 if n == 0 {
                     return Err("--threads needs a positive integer".to_owned());
                 }
-                args.threads = Some(n);
+                args.deck.threads = Some(n);
             }
-            "--eigen" => args.eigen = Some(EigenArg::parse(&next(a)?)?),
+            "--eigen" => args.deck.eigen = Some(EigenArg::parse(&next(a)?)?),
             "--stats" => args.stats = true,
-            "--components" => args.components = true,
+            "--components" => args.deck.components = true,
             "--verify" => args.verify = true,
             "--trace" => args.trace = true,
             "--log-json" => args.log_json = Some(next(a)?),
-            "--strict-pivots" => args.strict_pivots = true,
-            "--hier" => args.hier = true,
+            "--strict-pivots" => args.deck.strict_pivots = true,
             "--block-size" => {
                 let n: usize = next(a)?
                     .parse()
@@ -157,16 +133,16 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 if n == 0 {
                     return Err("--block-size needs a positive integer".to_owned());
                 }
-                args.block_size = n;
+                args.deck.block_size = n;
             }
             "--max-depth" => {
-                args.max_depth = next(a)?
+                args.deck.max_depth = next(a)?
                     .parse()
                     .map_err(|_| "--max-depth needs an integer".to_owned())?;
             }
-            "--strategy" => args.strategy = Some(StrategyArg::parse(&next(a)?)?),
-            "--extract" => args.extract = true,
-            "--collapse-chains" => args.collapse_chains = true,
+            "--strategy" => args.deck.strategy = Some(StrategyArg::parse(&next(a)?)?),
+            "--extract" => args.deck.extract = true,
+            "--collapse-chains" => args.deck.collapse_chains = true,
             "--chain-tol" => {
                 let tol: f64 = next(a)?
                     .parse()
@@ -174,7 +150,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 if !tol.is_finite() || tol <= 0.0 {
                     return Err("--chain-tol needs a positive finite number".to_owned());
                 }
-                args.chain_tol = Some(tol);
+                args.deck.chain_tol = tol;
+                chain_tol_given = true;
             }
             "-h" | "--help" => return Err(usage().to_owned()),
             other if !other.starts_with('-') => {
@@ -186,7 +163,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if args.inputs.is_empty() {
         return Err(usage().to_owned());
     }
-    if args.chain_tol.is_some() && !args.collapse_chains {
+    if chain_tol_given && !args.deck.collapse_chains {
         return Err("--chain-tol requires --collapse-chains".to_owned());
     }
     if args.inputs.len() > 1 {
@@ -200,32 +177,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// The CLI flags as shared-pipeline options. Resolution of defaults
-/// (the `--hier` alias, pivot relief, ordering, dense threshold) lives
-/// in [`DeckOptions`], shared verbatim with the `rcfitd` daemon so both
-/// front ends produce bit-identical output.
-fn deck_options(args: &Args) -> DeckOptions {
-    DeckOptions {
-        f_max: args.f_max,
-        tolerance: args.tolerance,
-        sparsify: args.sparsify,
-        extra_ports: args.extra_ports.clone(),
-        threads: args.threads,
-        eigen: args.eigen,
-        components: args.components,
-        strict_pivots: args.strict_pivots,
-        hier: args.hier,
-        block_size: args.block_size,
-        max_depth: args.max_depth,
-        strategy: args.strategy,
-        extract: args.extract,
-        collapse_chains: args.collapse_chains,
-        chain_tol: args.chain_tol.unwrap_or(DEFAULT_CHAIN_TOL),
-    }
-}
-
 fn run(args: &Args) -> Result<(), PactError> {
-    let mut session = ReductionSession::new(deck_options(args).reduce_options()?);
+    let mut session = ReductionSession::new(args.deck.reduce_options()?);
     let batch = args.inputs.len() > 1;
     for (i, input) in args.inputs.iter().enumerate() {
         if batch {
@@ -252,8 +205,8 @@ fn run_deck(args: &Args, input: &str, session: &mut ReductionSession) -> Result<
     // The front half (parse → flatten → extract → sanitize) and the
     // reduce/render back half are the shared pact-serve pipeline — the
     // CLI only adds progress reporting around it.
-    let opts = deck_options(args);
-    let prep = prepare_deck(&text, &opts)?;
+    let opts = &args.deck;
+    let prep = prepare_deck(&text, opts)?;
     eprintln!(
         "rcfit: extracted RC network: {} ports, {} internal nodes, {} R, {} C",
         prep.raw_ports, prep.raw_internal, prep.raw_resistors, prep.raw_capacitors
@@ -261,14 +214,16 @@ fn run_deck(args: &Args, input: &str, session: &mut ReductionSession) -> Result<
     for w in &prep.sanitize_warnings {
         eprintln!("rcfit: warning: {w}");
     }
-    if args.collapse_chains {
+    if opts.collapse_chains {
         eprintln!(
             "rcfit: chain collapse: {} chain(s) collapsed, {} internal node(s) eliminated",
             prep.telemetry.counters.chains_collapsed, prep.telemetry.counters.nodes_eliminated
         );
     }
 
-    let red = reduce_prepared(&prep, session, &opts)?;
+    let reduce_start = Instant::now();
+    let red = reduce_prepared(&prep, session, opts)?;
+    let reduce_seconds = reduce_start.elapsed().as_secs_f64();
     let mut tel = prep.telemetry.clone();
     tel.absorb(&red.telemetry());
     match &red {
@@ -276,7 +231,7 @@ fn run_deck(args: &Args, input: &str, session: &mut ReductionSession) -> Result<
             reduction: c,
             extract_subnets,
         } => {
-            if args.extract {
+            if opts.extract {
                 eprintln!(
                     "rcfit: {} embedded RC subnetwork(s) reduced, {} floating island(s) dropped, {} pole(s) kept",
                     extract_subnets,
@@ -301,18 +256,17 @@ fn run_deck(args: &Args, input: &str, session: &mut ReductionSession) -> Result<
                 prep.network.num_internal() - r.model.num_poles()
             );
             if args.stats {
-                let s = &r.stats;
+                let c = &r.telemetry.counters;
                 eprintln!(
-                    "rcfit: reduction {:.3} s; Cholesky |L| = {} nnz ({:.1} MB); modelled peak {:.1} MB",
-                    s.elapsed_seconds,
-                    s.chol_nnz,
-                    s.chol_memory_bytes as f64 / 1e6,
-                    s.modelled_memory_bytes as f64 / 1e6
+                    "rcfit: reduction {reduce_seconds:.3} s; Cholesky |L| = {} nnz ({:.1} MB); modelled peak {:.1} MB",
+                    c.chol_nnz,
+                    c.chol_memory_bytes as f64 / 1e6,
+                    c.modelled_memory_bytes as f64 / 1e6
                 );
-                if let Some(ls) = s.lanczos {
+                if c.lanczos_matvecs > 0 {
                     eprintln!(
                         "rcfit: LASO: {} matvecs, {} iterations, {} restarts",
-                        ls.matvecs, ls.iterations, ls.restarts
+                        c.lanczos_matvecs, c.lanczos_iterations, c.lanczos_restarts
                     );
                 }
                 match r.model.passivity_margins() {
@@ -324,7 +278,7 @@ fn run_deck(args: &Args, input: &str, session: &mut ReductionSession) -> Result<
             }
             if args.verify {
                 let parts = pact::Partitions::split(&prep.network.stamp());
-                let ctx = pact_sparse::ParCtx::new(args.threads);
+                let ctx = pact_sparse::ParCtx::new(opts.threads);
                 let report = tel.time("verify_sweep", || {
                     pact::verify_reduction_with(&parts, &r.model, &cutoff, 25, ctx)
                 });
@@ -350,7 +304,7 @@ fn run_deck(args: &Args, input: &str, session: &mut ReductionSession) -> Result<
         }
     }
 
-    let (rendered, element_count) = render_reduced(&prep, &red, "rcfit", args.sparsify, &mut tel);
+    let (rendered, element_count) = render_reduced(&prep, &red, "rcfit", opts.sparsify, &mut tel);
     eprintln!("rcfit: reduced network realized with {element_count} elements");
     tel.time("write", || match &args.output {
         Some(path) => std::fs::write(path, &rendered).map_err(|e| PactError::io(path, &e)),
@@ -393,13 +347,14 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use pact::EigenSelect;
+    use pact_serve::{DEFAULT_BLOCK_SIZE, DEFAULT_CHAIN_TOL, DEFAULT_MAX_DEPTH};
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| (*s).to_owned()).collect()
     }
 
     fn eigen_select(args: &Args) -> EigenSelect {
-        deck_options(args).eigen_select()
+        args.deck.eigen_select()
     }
 
     #[test]
@@ -429,23 +384,23 @@ mod tests {
         .unwrap();
         assert_eq!(a.inputs, vec!["in.sp"]);
         assert_eq!(a.output.as_deref(), Some("out.sp"));
-        assert_eq!(a.f_max, 3e9);
-        assert_eq!(a.tolerance, 0.1);
-        assert_eq!(a.sparsify, 1e-6);
-        assert_eq!(a.extra_ports, vec!["nodeA", "nodeB"]);
-        assert!(a.stats && a.components && a.verify);
-        assert!(a.trace && a.strict_pivots);
+        assert_eq!(a.deck.f_max, 3e9);
+        assert_eq!(a.deck.tolerance, 0.1);
+        assert_eq!(a.deck.sparsify, 1e-6);
+        assert_eq!(a.deck.extra_ports, vec!["nodeA", "nodeB"]);
+        assert!(a.stats && a.deck.components && a.verify);
+        assert!(a.trace && a.deck.strict_pivots);
         assert_eq!(a.log_json.as_deref(), Some("t.json"));
     }
 
     #[test]
     fn defaults_are_sane() {
         let a = parse_args(&argv(&["deck.sp"])).unwrap();
-        assert_eq!(a.f_max, 1e9);
-        assert_eq!(a.tolerance, 0.05);
+        assert_eq!(a.deck.f_max, 1e9);
+        assert_eq!(a.deck.tolerance, 0.05);
         assert!(matches!(eigen_select(&a), EigenSelect::Lanczos(_)));
         assert!(a.output.is_none());
-        assert!(!a.trace && !a.strict_pivots);
+        assert!(!a.trace && !a.deck.strict_pivots);
         assert!(a.log_json.is_none());
     }
 
@@ -464,6 +419,7 @@ mod tests {
             &["--points", "1g"][..],
             &["--chol-kernel", "scalar"][..],
             &["--dense"][..],
+            &["--hier"][..],
         ] {
             let mut parts = vec!["deck.sp"];
             parts.extend_from_slice(removed);
@@ -485,15 +441,15 @@ mod tests {
     #[test]
     fn spice_units_accepted_for_fmax() {
         let a = parse_args(&argv(&["x.sp", "--fmax", "500meg"])).unwrap();
-        assert_eq!(a.f_max, 5e8);
+        assert_eq!(a.deck.f_max, 5e8);
     }
 
     #[test]
     fn threads_flag_parses_and_validates() {
         let a = parse_args(&argv(&["x.sp", "--threads", "4"])).unwrap();
-        assert_eq!(a.threads, Some(4));
+        assert_eq!(a.deck.threads, Some(4));
         let d = parse_args(&argv(&["x.sp"])).unwrap();
-        assert_eq!(d.threads, None);
+        assert_eq!(d.deck.threads, None);
         assert!(parse_args(&argv(&["x.sp", "--threads", "0"])).is_err());
         assert!(parse_args(&argv(&["x.sp", "--threads", "many"])).is_err());
     }
@@ -502,20 +458,28 @@ mod tests {
     fn hier_flags_parse_and_validate() {
         let a = parse_args(&argv(&[
             "x.sp",
-            "--hier",
+            "--strategy",
+            "hier",
             "--block-size",
             "500",
             "--max-depth",
             "8",
         ]))
         .unwrap();
-        assert!(a.hier);
-        assert_eq!(a.block_size, 500);
-        assert_eq!(a.max_depth, 8);
+        assert_eq!(a.deck.strategy, Some(StrategyArg::Hier));
+        assert_eq!(a.deck.block_size, 500);
+        assert_eq!(a.deck.max_depth, 8);
+        assert!(matches!(
+            a.deck.reduce_strategy(),
+            pact::ReduceStrategy::Hierarchical {
+                max_block: 500,
+                max_depth: 8
+            }
+        ));
         let d = parse_args(&argv(&["x.sp"])).unwrap();
-        assert!(!d.hier);
-        assert_eq!(d.block_size, DEFAULT_BLOCK_SIZE);
-        assert_eq!(d.max_depth, DEFAULT_MAX_DEPTH);
+        assert_eq!(d.deck.strategy, None);
+        assert_eq!(d.deck.block_size, DEFAULT_BLOCK_SIZE);
+        assert_eq!(d.deck.max_depth, DEFAULT_MAX_DEPTH);
         assert!(parse_args(&argv(&["x.sp", "--block-size", "0"])).is_err());
         assert!(parse_args(&argv(&["x.sp", "--block-size", "lots"])).is_err());
         assert!(parse_args(&argv(&["x.sp", "--max-depth"])).is_err());
@@ -524,16 +488,15 @@ mod tests {
     #[test]
     fn strategy_flag_parses_and_validates() {
         let a = parse_args(&argv(&["x.sp", "--strategy", "hier"])).unwrap();
-        assert_eq!(a.strategy, Some(StrategyArg::Hier));
-        let opts = deck_options(&a).reduce_options().unwrap();
+        assert_eq!(a.deck.strategy, Some(StrategyArg::Hier));
+        let opts = a.deck.reduce_options().unwrap();
         assert!(matches!(
             opts.strategy,
             pact::ReduceStrategy::Hierarchical { .. }
         ));
 
-        // Explicit strategy beats the --hier alias.
-        let b = parse_args(&argv(&["x.sp", "--hier", "--strategy", "flat"])).unwrap();
-        let opts = deck_options(&b).reduce_options().unwrap();
+        let b = parse_args(&argv(&["x.sp", "--strategy", "flat"])).unwrap();
+        let opts = b.deck.reduce_options().unwrap();
         assert!(matches!(opts.strategy, pact::ReduceStrategy::Flat));
 
         let e = parse_args(&argv(&["x.sp", "--strategy", "magic"])).unwrap_err();
@@ -550,15 +513,15 @@ mod tests {
             "1e-4",
         ]))
         .unwrap();
-        assert!(a.extract && a.collapse_chains);
-        assert_eq!(a.chain_tol, Some(1e-4));
-        let o = deck_options(&a);
+        assert!(a.deck.extract && a.deck.collapse_chains);
+        assert_eq!(a.deck.chain_tol, 1e-4);
+        let o = a.deck;
         assert!(o.extract && o.collapse_chains);
         assert_eq!(o.chain_tol, 1e-4);
 
         let d = parse_args(&argv(&["x.sp"])).unwrap();
-        assert!(!d.extract && !d.collapse_chains);
-        assert_eq!(deck_options(&d).chain_tol, DEFAULT_CHAIN_TOL);
+        assert!(!d.deck.extract && !d.deck.collapse_chains);
+        assert_eq!(d.deck.chain_tol, DEFAULT_CHAIN_TOL);
 
         let e = parse_args(&argv(&["x.sp", "--chain-tol", "1e-4"])).unwrap_err();
         assert!(e.contains("--collapse-chains"));
@@ -570,7 +533,7 @@ mod tests {
     #[test]
     fn eigen_flag_parses_and_resolves() {
         let a = parse_args(&argv(&["x.sp", "--eigen", "auto"])).unwrap();
-        assert_eq!(a.eigen, Some(EigenArg::Auto));
+        assert_eq!(a.deck.eigen, Some(EigenArg::Auto));
         assert!(matches!(eigen_select(&a), EigenSelect::Auto));
         let a = parse_args(&argv(&["x.sp", "--eigen", "dense"])).unwrap();
         assert!(matches!(eigen_select(&a), EigenSelect::Dense));

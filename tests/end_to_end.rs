@@ -160,3 +160,23 @@ fn rcfit_cli_flow_is_reproducible() {
     let tb = splice_reduced(&original, b.model.to_netlist_elements("r", 1e-9)).to_string();
     assert_eq!(ta, tb);
 }
+
+/// `rcfit --extract` on a deck with no parasitics at all: nothing to
+/// reduce, so the deck passes through unchanged with exit 0 (without
+/// `--extract` it stays a typed `network` error).
+#[test]
+fn rcfit_extract_passes_a_deck_without_rc_through() {
+    let deck = "* d\nV1 a 0 1\nM1 b a 0 0 n\n.model n nmos()\n.end\n";
+    let path = std::env::temp_dir().join(format!("rcfit_no_rc_{}.sp", std::process::id()));
+    std::fs::write(&path, deck).expect("write deck");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rcfit"))
+        .arg("--extract")
+        .arg(&path)
+        .output()
+        .expect("run rcfit");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "rcfit --extract failed: {stderr}");
+    let written = String::from_utf8(out.stdout).expect("utf-8 deck");
+    assert_eq!(written, parse(deck).expect("parse").to_string());
+}

@@ -16,20 +16,24 @@
 //! has its own budget and is covered by `end_to_end.rs` and the
 //! verify-stage tests.)
 //!
+//! Every case runs the shared deck pipeline (`prepare_netlist` →
+//! `reduce_prepared` → `render_reduced` with `extract` on), the code
+//! path behind `rcfit --extract` and the daemon's `"extract"` option.
+//!
 //! A degenerate host with no RC-only subnetwork must pass through
 //! untouched: same bytes out, no reduction, zero extraction counters.
 
-use pact::{
-    reduce_embedded, ChainCollapseSpec, CutoffSpec, ExtractOptions, ReduceOptions, ReduceStrategy,
-    ReductionSession,
-};
+use pact::{CutoffSpec, ReduceOptions, ReduceStrategy, ReductionSession, Telemetry};
 use pact_circuit::{log_frequencies, AcExcitation, Circuit};
 use pact_gen::{
     add_default_models, chain_heavy_deck, inverter, inverter_pair_deck, network_to_elements,
     power_grid_deck, rich_mixed_deck, substrate_mesh, ChainDeckSpec, LineSpec, MeshSpec,
     PowerGridSpec, RichDeckSpec,
 };
-use pact_netlist::{Element, ElementKind, Netlist, Waveform};
+use pact_netlist::{splice_reduced, Element, ElementKind, Netlist, Waveform};
+use pact_serve::{
+    prepare_netlist, reduce_prepared, render_reduced, DeckOptions, PreparedDeck, ReducedDeck,
+};
 
 /// In-band agreement required between unreduced and re-stitched decks,
 /// relative to signal scale.
@@ -178,6 +182,65 @@ fn session_for(fmax: f64, strategy: ReduceStrategy) -> ReductionSession {
     ReductionSession::new(opts)
 }
 
+/// One pass of the deck pipeline over an in-memory host deck.
+struct Extracted {
+    prep: PreparedDeck,
+    red: ReducedDeck,
+    /// Front-half and reduction telemetry, merged.
+    telemetry: Telemetry,
+    /// The re-stitched deck as the pipeline renders it.
+    text: String,
+}
+
+impl Extracted {
+    /// The re-stitched deck in memory: the elements the pipeline
+    /// renders, spliced into the prepared deck. The tight comparisons
+    /// run on it because SPICE text quantizes values at ~1e-7 relative
+    /// (`format_value`'s 6 fractional digits, source timings included),
+    /// which the looser `end_to_end.rs` bounds absorb but these must
+    /// not.
+    fn restitched(&self) -> Netlist {
+        let deck = splice_reduced(
+            &self.prep.deck,
+            self.red.to_netlist_elements(PREFIX, SPARSIFY),
+        );
+        assert_eq!(
+            deck.to_string(),
+            self.text,
+            "the pipeline renders this deck"
+        );
+        deck
+    }
+}
+
+/// Realized element prefix; nothing is sparsified, so the realization
+/// is exact.
+const PREFIX: &str = "pact";
+const SPARSIFY: f64 = 0.0;
+
+/// Every ported RC subnetwork is reduced on its own.
+fn extract_opts() -> DeckOptions {
+    DeckOptions {
+        sparsify: SPARSIFY,
+        extract: true,
+        ..DeckOptions::default()
+    }
+}
+
+fn extract_reduce(deck: &Netlist, session: &mut ReductionSession, opts: &DeckOptions) -> Extracted {
+    let prep = prepare_netlist(deck, opts).expect("prepare");
+    let red = reduce_prepared(&prep, session, opts).expect("reduce");
+    let mut telemetry = prep.telemetry.clone();
+    telemetry.absorb(&red.telemetry());
+    let (text, _) = render_reduced(&prep, &red, PREFIX, opts.sparsify, &mut telemetry);
+    Extracted {
+        prep,
+        red,
+        telemetry,
+        text,
+    }
+}
+
 /// Node names present in both compiled circuits (ground excluded) —
 /// the host nodes plus every island boundary port. Internal RC nodes
 /// disappear on one side or the other and are not comparable.
@@ -251,30 +314,22 @@ fn restitched_decks_match_unreduced_across_hosts_and_strategies() {
     for host in [line_host(), mesh_host(), powergrid_host(), rich_host()] {
         for (sname, strategy) in strategies() {
             let mut session = session_for(host.fmax, strategy);
-            let red = reduce_embedded(&host.deck, &mut session, &ExtractOptions::default())
-                .unwrap_or_else(|e| panic!("{}/{sname}: reduce_embedded: {e}", host.name));
-            let reduction = red
-                .reduction
-                .as_ref()
-                .unwrap_or_else(|| panic!("{}/{sname}: nothing reduced", host.name));
+            let red = extract_reduce(&host.deck, &mut session, &extract_opts());
+            let c = &red.telemetry.counters;
             assert!(
-                reduction.reductions.len() as u64 == red.telemetry.counters.extract_subnets
-                    && red.telemetry.counters.extract_subnets >= 1,
+                c.components_reduced == c.extract_subnets && c.extract_subnets >= 1,
                 "{}/{sname}: subnet counter mismatch",
                 host.name
             );
             assert!(
-                red.nodes_before > 0,
+                red.prep.raw_internal > 0,
                 "{}/{sname}: no internal nodes found",
                 host.name
             );
             // The re-stitched deck must render and reparse (the CLI
-            // path); the tight comparison runs on the in-memory deck —
-            // SPICE text quantizes values at ~1e-7 relative
-            // (`format_value`'s 6 fractional digits), which the looser
-            // `end_to_end.rs` bounds absorb but this one must not.
-            pact_netlist::parse(&red.deck.to_string()).expect("re-stitched deck reparses");
-            assert_equivalent(&host, sname, &red.deck);
+            // path); the comparison runs on the in-memory deck.
+            pact_netlist::parse(&red.text).expect("re-stitched deck reparses");
+            assert_equivalent(&host, sname, &red.restitched());
         }
     }
 }
@@ -286,12 +341,11 @@ fn restitched_decks_match_unreduced_across_hosts_and_strategies() {
 fn rich_deck_extraction_finds_the_buried_islands() {
     let host = rich_host();
     let mut session = session_for(host.fmax, ReduceStrategy::Flat);
-    let red = reduce_embedded(&host.deck, &mut session, &ExtractOptions::default()).unwrap();
+    let red = extract_reduce(&host.deck, &mut session, &extract_opts());
     assert_eq!(red.telemetry.counters.extract_subnets, 3);
-    let text = red.deck.to_string();
     for port in ["a", "b", "c", "d", "sense"] {
         assert!(
-            text.split_whitespace().any(|t| t == port),
+            red.text.split_whitespace().any(|t| t == port),
             "boundary port {port} missing from re-stitched deck"
         );
     }
@@ -319,12 +373,16 @@ fn collapsed_chains_still_match_in_band() {
         tstep: 50e-12,
         tstop: 5e-9,
     };
-    let opts = ExtractOptions {
-        collapse: Some(ChainCollapseSpec::new(1e6, 1e-7).expect("collapse spec")),
-        ..ExtractOptions::default()
+    // The collapse budget is set by `f_max` and `chain_tol`; the cutoff
+    // of the reduction itself is the session's.
+    let opts = DeckOptions {
+        f_max: 1e6,
+        collapse_chains: true,
+        chain_tol: 1e-7,
+        ..extract_opts()
     };
     let mut session = session_for(host.fmax, ReduceStrategy::Flat);
-    let red = reduce_embedded(&host.deck, &mut session, &opts).unwrap();
+    let red = extract_reduce(&host.deck, &mut session, &opts);
     assert_eq!(red.telemetry.counters.chains_collapsed, 2);
     assert!(
         red.telemetry.counters.nodes_eliminated >= 60,
@@ -334,7 +392,7 @@ fn collapsed_chains_still_match_in_band() {
     // AC-only comparison: the collapse budget holds below its f_max
     // (1 MHz); the transient pulse has content far above it.
     let c0 = Circuit::from_netlist(&host.deck).expect("compile original");
-    let c1 = Circuit::from_netlist(&red.deck).expect("compile reduced");
+    let c1 = Circuit::from_netlist(&red.restitched()).expect("compile reduced");
     let exc = AcExcitation::VSource(host.ac_source.to_owned());
     let a0 = c0.ac_sweep(&host.freqs, &exc).expect("ac original");
     let a1 = c1.ac_sweep(&host.freqs, &exc).expect("ac reduced");
@@ -382,11 +440,14 @@ fn deck_without_rc_subnetworks_passes_through_unchanged() {
         .extend(inverter("rcv", "mid", "out", "vdd", "0", "vdd", 4e-6, 8e-6));
 
     let mut session = session_for(1e12, ReduceStrategy::Flat);
-    let red = reduce_embedded(&nl, &mut session, &ExtractOptions::default()).unwrap();
-    assert!(red.reduction.is_none(), "nothing to reduce");
-    assert_eq!(red.deck.to_string(), nl.to_string(), "pass-through bytes");
-    assert_eq!(red.nodes_before, 0);
-    assert_eq!(red.nodes_after, 0);
+    let red = extract_reduce(&nl, &mut session, &extract_opts());
+    assert_eq!(
+        red.telemetry.counters.components_reduced, 0,
+        "nothing to reduce"
+    );
+    assert_eq!(red.text, nl.to_string(), "pass-through bytes");
+    assert_eq!(red.prep.raw_internal, 0);
+    assert_eq!(red.red.num_poles(), 0);
     assert_eq!(red.telemetry.counters.extract_subnets, 0);
     assert_eq!(red.telemetry.counters.chains_collapsed, 0);
     assert_eq!(red.telemetry.counters.nodes_eliminated, 0);

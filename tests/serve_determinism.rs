@@ -24,6 +24,7 @@ use pact_gen::{
 use pact_netlist::Netlist;
 use pact_serve::{
     prepare_deck, reduce_prepared, render_reduced, Daemon, DeckOptions, ReplySink, ServeConfig,
+    StrategyArg,
 };
 
 /// One deck family of the mixed workload.
@@ -33,7 +34,8 @@ struct Family {
     /// Extra ports forced via the request's `ports` option.
     ports: Vec<String>,
     /// `Some(max_block)` routes the request through the hierarchical
-    /// strategy (the daemon's `"hier"`/`"block_size"` options).
+    /// strategy (the daemon's `"strategy":"hier"`/`"block_size"`
+    /// options).
     hier_block: Option<usize>,
     /// Reduce per ported RC subnetwork (the daemon's `"extract"`
     /// option).
@@ -153,7 +155,7 @@ fn one_shot(
     let opts = DeckOptions {
         threads: Some(1), // the daemon's per-request default
         extra_ports: ports.to_vec(),
-        hier: hier_block.is_some(),
+        strategy: hier_block.map(|_| StrategyArg::Hier),
         block_size: hier_block.unwrap_or(DeckOptions::default().block_size),
         extract,
         collapse_chains: chain_tol.is_some(),
@@ -198,7 +200,7 @@ fn families() -> Vec<Family> {
 fn request_line(id: &str, fam: &Family) -> String {
     let mut options = vec![("threads".to_owned(), Value::num(1.0))];
     if let Some(block) = fam.hier_block {
-        options.push(("hier".to_owned(), Value::Bool(true)));
+        options.push(("strategy".to_owned(), Value::str("hier")));
         options.push(("block_size".to_owned(), Value::num(block as f64)));
     }
     if fam.extract {

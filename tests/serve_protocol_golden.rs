@@ -79,6 +79,19 @@ fn extract_collapse_deck_reduces_to_the_golden_payload() {
 }
 
 #[test]
+fn extract_passes_a_deck_without_rc_through() {
+    // No parasitics: the input deck comes back unchanged, exactly as
+    // `rcfit --extract` writes it.
+    let deck = "* d\nV1 a 0 1\nM1 b a 0 0 n\n.model n nmos()\n.end\n";
+    let request = r#"{"id":"none-1","deck":"* d\nV1 a 0 1\nM1 b a 0 0 n\n.model n nmos()\n.end\n","options":{"extract":true}}"#;
+    let responses = serve_one(request, 1 << 20);
+    let doc = Value::parse(&responses[0]).expect("response is valid JSON");
+    assert_eq!(doc.get("ok"), Some(&Value::Bool(true)), "{}", responses[0]);
+    let text = doc.get("deck").unwrap().as_str().unwrap();
+    assert_eq!(text, pact_netlist::parse(deck).unwrap().to_string());
+}
+
+#[test]
 fn chain_tol_without_collapse_response_is_golden() {
     let request = include_str!("fixtures/serve/bad_chain_tol.jsonl");
     let responses = serve_one(request.trim_end(), 1 << 20);
@@ -110,6 +123,7 @@ fn unknown_option_response_is_golden() {
         ("points", "[1e9]"),
         ("chol_kernel", r#""scalar""#),
         ("dense", "true"),
+        ("hier", "true"),
     ] {
         let request = request.replace(r#""tolerance":0.1"#, &format!(r#""{key}":{value}"#));
         let responses = serve_one(request.trim_end(), 1 << 20);
